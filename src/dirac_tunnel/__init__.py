@@ -39,8 +39,6 @@ from .kinematics import (
 )
 from .scattering import (
     MatchingSolution,
-    SpinorAmplitude,
-    free_spinor,
     opaque_transmission_magnitude,
     solve_matching,
     transmission_amplitude,
@@ -62,14 +60,10 @@ from .wavepacket import (
     PacketIntegrator,
     PacketSpec,
     converged_integrator,
-    density,
     filter_stats,
     filtered_distributions,
-    incident_density,
-    incident_packet,
     momentum_weight,
     transmitted_density,
-    transmitted_packet,
 )
 
 __version__ = "0.1.0"
@@ -93,9 +87,7 @@ __all__ = [
     "classify_zone",
     "evanescent_rho",
     # scattering
-    "SpinorAmplitude",
     "MatchingSolution",
-    "free_spinor",
     "transmission_amplitude",
     "transmission_phase",
     "opaque_transmission_magnitude",
@@ -106,11 +98,7 @@ __all__ = [
     "FilterStats",
     "PacketIntegrator",
     "momentum_weight",
-    "density",
-    "transmitted_packet",
-    "incident_packet",
     "transmitted_density",
-    "incident_density",
     "filter_stats",
     "filtered_distributions",
     "converged_integrator",

@@ -52,6 +52,7 @@ from .errors import ConfigError, DiracTunnelError
 from .kinematics import BarrierConfig, momentum_window
 from .transit import numeric_tunneling_time, scan_peaks, superluminal_detector_bound, transit_measure, transit_time_predicted
 from .wavepacket import (
+    MAX_NODES,
     PacketSpec,
     filter_stats,
     filtered_distributions,
@@ -302,6 +303,13 @@ def validate_config(
                 )
     if numerics.nodes < 64:
         raise ConfigError(f"numerics.nodes must be at least 64, got {numerics.nodes}")
+    # every scenario but the filter curves runs the convergence gate, which
+    # must be able to double the start rule at least once
+    if scenario != "fig1_filter" and numerics.nodes > MAX_NODES // 2:
+        raise ConfigError(
+            f"numerics.nodes must be at most {MAX_NODES // 2} (half the gate's "
+            f"{MAX_NODES}-node ceiling), got {numerics.nodes}"
+        )
     if not 0.0 < numerics.tolerance < 1.0:
         raise ConfigError(f"numerics.tolerance must lie in (0, 1), got {numerics.tolerance}")
     if not numerics.t_start < numerics.t_stop:

@@ -74,12 +74,12 @@ class BarrierConfig:
     offset: float = 0.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.v0, self.width, self.mass, self.offset])):
+            raise ValueError("barrier parameters must be finite")
         if not self.mass > 0.0:
             raise ValueError(f"mass must be positive, got {self.mass}")
         if self.width < 0.0:
             raise ValueError(f"width must be non-negative, got {self.width}")
-        if not np.isfinite(self.v0) or not np.isfinite(self.width):
-            raise ValueError("barrier parameters must be finite")
         if self.v0 < self.mass:
             raise UnsupportedRegimeError(
                 f"unsupported regime: barrier height v0={self.v0} is below the "

@@ -26,9 +26,7 @@ from .errors import NumericalDegeneracyError
 from .kinematics import BarrierConfig, evanescent_rho, total_energy
 
 __all__ = [
-    "SpinorAmplitude",
     "MatchingSolution",
-    "free_spinor",
     "transmission_amplitude",
     "transmission_phase",
     "opaque_transmission_magnitude",
@@ -38,21 +36,6 @@ __all__ = [
 # cosh overflows near x ~ 710; switch to the explicit exp(-x) form well
 # before, where the dropped corrections are O(exp(-2x)) ~ 1e-260.
 _OPAQUE_SWITCH = 300.0
-
-
-@dataclass(frozen=True)
-class SpinorAmplitude:
-    """Four complex spinor components at one spacetime point.
-
-    For the spin-up, one-dimensional motion treated here only components 0
-    (large) and 2 (small) are populated; 1 and 3 stay identically zero.
-    """
-
-    components: tuple[complex, complex, complex, complex]
-
-    def __post_init__(self):
-        if len(self.components) != 4:
-            raise ValueError("a spinor has exactly four components")
 
 
 @dataclass(frozen=True)
@@ -69,18 +52,6 @@ class MatchingSolution:
     a_coef: complex
     b_coef: complex
     t_coef: complex
-
-
-def free_spinor(p, energy, mass: float = 1.0) -> SpinorAmplitude:
-    """Positive-energy spinor (1, 0, p/(energy+mass), 0), unnormalized.
-
-    ``p`` may be complex: the evanescent interior modes are obtained at
-    imaginary momentum with the barrier-shifted energy.
-    """
-    denom = energy + mass
-    if abs(denom) < 1e-300:
-        raise ValueError("energy + mass vanishes; spinor undefined")
-    return SpinorAmplitude((1.0 + 0.0j, 0.0j, complex(p) / denom, 0.0j))
 
 
 def _sinhc(x):
@@ -182,11 +153,11 @@ def opaque_transmission_magnitude(p, cfg: BarrierConfig):
     return float(out[0]) if scalar else out
 
 
-def solve_matching(p, cfg: BarrierConfig, *, dense_oracle: bool = False) -> MatchingSolution:
+def solve_matching(p, cfg: BarrierConfig) -> MatchingSolution:
     """Match the piecewise solution at both faces of the barrier.
 
-    Returns the full coefficient set for one momentum.  The default path
-    eliminates the interior coefficients analytically: with
+    Returns the full coefficient set for one momentum.  The interior
+    coefficients are eliminated analytically: with
 
         kappa_hat = -i p (E - v0 + mass) / (E + mass)
 
@@ -199,11 +170,6 @@ def solve_matching(p, cfg: BarrierConfig, *, dense_oracle: bool = False) -> Matc
     stable for any opacity; past x > 300 the exp(-x) factor is pulled out
     explicitly.  Interior coefficients are reconstructed from the face
     values, scaled so the growing-mode coefficient underflows cleanly.
-
-    ``dense_oracle=True`` instead solves the raw 4x4 matching system (with
-    rescaled interior unknowns) by LU factorization.  That path is kept as
-    an independent cross-check for tests and debugging; it is accurate only
-    for moderate opacity (x up to roughly 30).
 
     Momenta at the exact upper window edge have rho = 0, where the two
     interior modes coincide and the matching system is singular; that raises
@@ -230,31 +196,6 @@ def solve_matching(p, cfg: BarrierConfig, *, dense_oracle: bool = False) -> Matc
     x = rho * L
     phi_a = np.exp(1j * p * a)
     phi_b = np.exp(1j * p * (a + L))
-
-    if dense_oracle:
-        eps = np.exp(-x)
-        mat = np.array(
-            [
-                [-np.conj(phi_a), 1.0, eps, 0.0],
-                [k1 * np.conj(phi_a), k2, -k2 * eps, 0.0],
-                [0.0, eps, 1.0, -phi_b],
-                [0.0, k2 * eps, -k2, -k1 * phi_b],
-            ],
-            dtype=complex,
-        )
-        rhs = np.array([phi_a, k1 * phi_a, 0.0, 0.0], dtype=complex)
-        try:
-            r_c, a_scaled, b_scaled, t_c = np.linalg.solve(mat, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalDegeneracyError(
-                f"dense matching system is singular at p={p:.6g}"
-            ) from exc
-        return MatchingSolution(
-            r=complex(r_c),
-            a_coef=complex(a_scaled * np.exp(rho * a)),
-            b_coef=complex(b_scaled * np.exp(-rho * (a + L))),
-            t_coef=complex(t_c),
-        )
 
     if x <= _OPAQUE_SWITCH:
         lshc = L * float(_sinhc(x))

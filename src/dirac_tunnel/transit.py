@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import BarrierConfig
-from .wavepacket import PacketSpec, PacketIntegrator, _cached_integrator, converged_integrator
+from .wavepacket import PacketSpec, PacketIntegrator, converged_integrator
 
 __all__ = [
     "PeakKind",
@@ -120,7 +120,7 @@ def scan_peaks(
     if ts.size < 3:
         raise ValueError("time range shorter than three scan steps")
 
-    eng = _cached_integrator(spec, cfg, nodes, cfg.mass)
+    eng = PacketIntegrator(spec, cfg, nodes=nodes)
     dens = eng.density(z_eval, ts)
     if tol is not None:
         probe = float(ts[int(np.argmax(dens))])

@@ -19,17 +19,14 @@ floor of the quadrature.
 
 from __future__ import annotations
 
-import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateWeightError
 from .kinematics import BarrierConfig, momentum_window, total_energy
-from .scattering import SpinorAmplitude, transmission_amplitude
+from .scattering import transmission_amplitude
 
 __all__ = [
     "PacketSpec",
@@ -37,20 +34,17 @@ __all__ = [
     "FilterStats",
     "PacketIntegrator",
     "momentum_weight",
-    "density",
-    "transmitted_packet",
-    "incident_packet",
     "transmitted_density",
-    "incident_density",
     "filter_stats",
     "filtered_distributions",
     "converged_integrator",
 ]
 
-log = logging.getLogger(__name__)
-
 _PANEL = 64          # Gauss-Legendre points per panel
 _TIME_CHUNK = 512    # spacetime points per matrix block
+# Node ceiling of the convergence gate; a start rule above half of it
+# cannot be doubled even once.
+MAX_NODES = 65536
 
 
 @dataclass(frozen=True)
@@ -137,11 +131,6 @@ def momentum_weight(p, spec: PacketSpec):
     return out
 
 
-def density(s: SpinorAmplitude) -> float:
-    """Probability density |psi|^2 = sum of squared component moduli."""
-    return float(sum(abs(c) ** 2 for c in s.components))
-
-
 @cache
 def _panel_rule(n: int):
     return np.polynomial.legendre.leggauss(n)
@@ -159,24 +148,11 @@ def _composite_rule(lo: float, hi: float, nodes: int):
     return p, w
 
 
-def _workers() -> int:
-    raw = os.environ.get("DIRAC_TUNNEL_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        log.warning("ignoring non-integer DIRAC_TUNNEL_THREADS=%r", raw)
-        return 1
-    return max(1, n)
-
-
 class PacketIntegrator:
     """Evaluates packet amplitudes on a fixed quadrature rule.
 
     The node table (momenta, energies, weighted coefficients) is built once
-    and never mutated, so a single instance can be shared freely, including
-    across the worker threads used for large time grids.  ``cfg=None``
+    and never mutated, so a single instance can be shared freely.  ``cfg=None``
     builds the free (incident) packet; otherwise the coefficients include
     the transmitted amplitude of ``cfg``.
     """
@@ -210,36 +186,18 @@ class PacketIntegrator:
 
     # -- core evaluation ---------------------------------------------------
 
-    def _accumulate(self, fixed0, fixed2, rows, cols, out0, out2, sl):
-        # exp(rows x cols) is materialized one column chunk at a time so the
-        # footprint stays at nodes * _TIME_CHUNK regardless of grid size.
-        block = np.exp(rows[:, None] * cols[None, sl])
-        out0[sl] = fixed0 @ block
-        out2[sl] = fixed2 @ block
-
     def _sum_over_nodes(self, fixed0, fixed2, rows, cols):
-        """fixed @ exp(rows x cols), chunked over columns, optionally threaded."""
+        """fixed @ exp(rows x cols), chunked over columns."""
         n_out = cols.size
         out0 = np.empty(n_out, dtype=complex)
         out2 = np.empty(n_out, dtype=complex)
-        slices = [
-            slice(i, min(i + _TIME_CHUNK, n_out))
-            for i in range(0, n_out, _TIME_CHUNK)
-        ]
-        workers = _workers()
-        if workers > 1 and len(slices) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(
-                    pool.map(
-                        lambda sl: self._accumulate(
-                            fixed0, fixed2, rows, cols, out0, out2, sl
-                        ),
-                        slices,
-                    )
-                )
-        else:
-            for sl in slices:
-                self._accumulate(fixed0, fixed2, rows, cols, out0, out2, sl)
+        # exp(rows x cols) is materialized one column chunk at a time so the
+        # footprint stays at nodes * _TIME_CHUNK regardless of grid size.
+        for i in range(0, n_out, _TIME_CHUNK):
+            sl = slice(i, min(i + _TIME_CHUNK, n_out))
+            block = np.exp(rows[:, None] * cols[None, sl])
+            out0[sl] = fixed0 @ block
+            out2[sl] = fixed2 @ block
         return out0, out2
 
     def amplitudes(self, z: float, ts):
@@ -267,45 +225,13 @@ class PacketIntegrator:
         f *= self._scale
         return (g * np.conj(g) + f * np.conj(f)).real
 
-    def spinor(self, z: float, t: float) -> SpinorAmplitude:
-        g, f = self.amplitudes(z, [t])
-        return SpinorAmplitude((complex(g[0]), 0.0j, complex(f[0]), 0.0j))
-
-
-@lru_cache(maxsize=32)
-def _cached_integrator(spec, cfg, nodes, mass) -> PacketIntegrator:
-    return PacketIntegrator(spec, cfg, nodes=nodes, mass=mass)
-
-
-def transmitted_packet(
-    z: float, t: float, spec: PacketSpec, cfg: BarrierConfig, nodes: int = 2048
-) -> SpinorAmplitude:
-    """Transmitted packet spinor at one spacetime point."""
-    return _cached_integrator(spec, cfg, nodes, cfg.mass).spinor(z, t)
-
-
-def incident_packet(
-    z: float, t: float, spec: PacketSpec, mass: float = 1.0, nodes: int = 2048
-) -> SpinorAmplitude:
-    """Free packet spinor at one spacetime point (no barrier applied)."""
-    return _cached_integrator(spec, None, nodes, mass).spinor(z, t)
-
 
 def transmitted_density(
     z: float, t_axis, spec: PacketSpec, cfg: BarrierConfig, nodes: int = 2048
 ) -> DensityGrid:
     """Transmitted density over a time axis at fixed position."""
     t_axis = np.asarray(t_axis, dtype=float)
-    eng = _cached_integrator(spec, cfg, nodes, cfg.mass)
-    return DensityGrid(axis=t_axis, values=eng.density(z, t_axis))
-
-
-def incident_density(
-    z: float, t_axis, spec: PacketSpec, mass: float = 1.0, nodes: int = 2048
-) -> DensityGrid:
-    """Free-packet density over a time axis at fixed position."""
-    t_axis = np.asarray(t_axis, dtype=float)
-    eng = _cached_integrator(spec, None, nodes, mass)
+    eng = PacketIntegrator(spec, cfg, nodes=nodes)
     return DensityGrid(axis=t_axis, values=eng.density(z, t_axis))
 
 
@@ -356,8 +282,7 @@ def converged_integrator(
     t: float,
     tol: float = 1e-8,
     nodes: int = 2048,
-    max_nodes: int = 65536,
-    mass: float | None = None,
+    max_nodes: int = MAX_NODES,
 ) -> PacketIntegrator:
     """Double the node count until the probe density stabilizes.
 
@@ -366,19 +291,16 @@ def converged_integrator(
     finer rule is returned.  If ``max_nodes`` is exhausted first a
     :class:`ConvergenceError` carrying the last estimate is raised.
     """
-    if mass is None:
-        mass = cfg.mass if cfg is not None else 1.0
-    eng = _cached_integrator(spec, cfg, nodes, mass)
-    d_prev = float(eng.density(z, [t])[0])
+    d_prev = float(PacketIntegrator(spec, cfg, nodes=nodes).density(z, [t])[0])
     n = nodes
     while n * 2 <= max_nodes:
         n *= 2
-        finer = _cached_integrator(spec, cfg, n, mass)
+        finer = PacketIntegrator(spec, cfg, nodes=n)
         d_next = float(finer.density(z, [t])[0])
         scale = max(abs(d_next), abs(d_prev))
         if scale == 0.0 or abs(d_next - d_prev) <= tol * scale:
             return finer
-        eng, d_prev = finer, d_next
+        d_prev = d_next
     raise ConvergenceError(
         f"density at probe (z={z}, t={t}) did not stabilize to {tol:g} "
         f"within {max_nodes} quadrature nodes",

@@ -15,6 +15,7 @@ from dirac_tunnel.cli import (
     validate_config,
 )
 from dirac_tunnel.errors import ConfigError
+from dirac_tunnel.wavepacket import MAX_NODES
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -178,6 +179,25 @@ class TestMainErrors:
         code = main(["run", "--scenario", "custom", "--out", str(tmp_path),
                      "--set", "numerics.nodes=10"])
         assert code == 2
+
+    def test_start_nodes_the_gate_cannot_double(self, tmp_path, capsys):
+        code = main(["run", "--scenario", "fig3_times", "--out", str(tmp_path),
+                     "--set", "geometry.L=10", "--set", "numerics.nodes=40000"])
+        assert code == 2
+        assert "numerics.nodes" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_node_ceiling_applies_to_gated_scenarios(self, scenario):
+        overrides = {("numerics", "nodes"): str(MAX_NODES // 2 + 64)}
+        if scenario == "fig1_filter":
+            # the filter statistics run a fixed rule, no gate
+            assert validate_config({}, scenario, overrides=overrides)
+        else:
+            with pytest.raises(ConfigError):
+                validate_config({}, scenario, overrides=overrides)
+        overrides = {("numerics", "nodes"): str(MAX_NODES // 2)}
+        assert validate_config({}, scenario, overrides=overrides)
 
     @pytest.mark.parametrize("spec", ["10:5:1", "10:20", "a:b:c", "0:10:0"])
     def test_bad_sweep_ranges(self, tmp_path, spec):

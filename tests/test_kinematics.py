@@ -35,6 +35,15 @@ class TestBarrierConfig:
         with pytest.raises(ValueError):
             BarrierConfig(v0=math.inf, width=1.0)
 
+    @pytest.mark.parametrize("field", ["v0", "width", "mass", "offset"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_fields(self, field, value):
+        params = {"v0": 1.0, "width": 5.0, "mass": 1.0, "offset": 0.0}
+        params[field] = value
+        # a plain ValueError, not UnsupportedRegimeError (mass=inf > v0)
+        with pytest.raises(ValueError, match="finite"):
+            BarrierConfig(**params)
+
 
 class TestWindow:
     def test_canonical_window(self):

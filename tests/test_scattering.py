@@ -8,14 +8,13 @@ from dirac_tunnel import (
     BarrierConfig,
     NumericalDegeneracyError,
     evanescent_rho,
-    free_spinor,
     momentum_window,
     opaque_transmission_magnitude,
     solve_matching,
-    total_energy,
     transmission_amplitude,
     transmission_phase,
 )
+from dense_matching import dense_matching
 
 # Frozen against an extended-precision solve of the 4x4 matching system
 # (mpmath, 50 digits), canonical barrier v0 = m = 1.
@@ -95,7 +94,7 @@ class TestEquivalence:
                 continue
             count += 1
             stable = solve_matching(p, cfg)
-            dense = solve_matching(p, cfg, dense_oracle=True)
+            dense = dense_matching(p, cfg)
             assert dense.t_coef == pytest.approx(stable.t_coef, rel=1e-8)
             assert dense.r == pytest.approx(stable.r, rel=1e-8, abs=1e-12)
 
@@ -214,27 +213,3 @@ class TestPhaseStructure:
         assert np.all(thetas < math.pi / 2.0)
         assert transmission_phase(0.0, cfg) == pytest.approx(-math.pi / 2.0)
         assert transmission_phase(0.9, BarrierConfig(v0=1.0, width=0.0)) == 0.0
-
-
-class TestFreeSpinor:
-    def test_components(self):
-        p0 = math.sqrt(3.0) / 2.0
-        e0 = total_energy(p0)
-        u = free_spinor(p0, e0)
-        assert u.components[0] == 1.0
-        assert u.components[1] == 0.0
-        assert u.components[2] == pytest.approx(p0 / (e0 + 1.0), rel=1e-14)
-        assert u.components[3] == 0.0
-
-    def test_complex_momentum(self):
-        # interior modes: imaginary momentum, barrier-shifted energy
-        p = 0.9
-        inside = total_energy(p) - CANON.v0
-        rho = evanescent_rho(p, CANON)
-        u = free_spinor(1j * rho, inside)
-        assert u.components[2] == pytest.approx(1j * rho / (inside + 1.0),
-                                                rel=1e-14)
-
-    def test_degenerate_denominator(self):
-        with pytest.raises(ValueError):
-            free_spinor(0.5, -1.0, mass=1.0)

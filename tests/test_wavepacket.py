@@ -11,15 +11,12 @@ from dirac_tunnel import (
     PacketIntegrator,
     PacketSpec,
     converged_integrator,
-    density,
     filter_stats,
     filtered_distributions,
-    incident_packet,
     momentum_weight,
     total_energy,
     transmission_amplitude,
     transmitted_density,
-    transmitted_packet,
 )
 
 P0 = math.sqrt(3.0) / 2.0
@@ -79,22 +76,23 @@ class TestDensityOracles:
     # (mpmath, 40 digits, adaptive rule).
 
     def test_transmitted_density_behind_barrier(self):
-        s = transmitted_packet(10.0, 2.0, SPEC, barrier(10.0))
-        assert density(s) == pytest.approx(2.29544239794700562e-08, rel=1e-9)
+        d = PacketIntegrator(SPEC, barrier(10.0)).density(10.0, [2.0])[0]
+        assert d == pytest.approx(2.29544239794700562e-08, rel=1e-9)
 
     def test_transmitted_density_early_time(self):
-        s = transmitted_packet(12.0, -3.0, SPEC, barrier(10.0))
-        assert density(s) == pytest.approx(1.18559932267900627e-08, rel=1e-9)
+        d = PacketIntegrator(SPEC, barrier(10.0)).density(12.0, [-3.0])[0]
+        assert d == pytest.approx(1.18559932267900627e-08, rel=1e-9)
 
     def test_incident_density_near_center(self):
-        s = incident_packet(5.0, 7.0, SPEC)
-        assert density(s) == pytest.approx(0.994277972283855439, rel=1e-9)
+        d = PacketIntegrator(SPEC, None).density(5.0, [7.0])[0]
+        assert d == pytest.approx(0.994277972283855439, rel=1e-9)
 
     def test_zero_width_reduces_to_free_packet(self):
-        cfg = barrier(0.0)
+        transmitted = PacketIntegrator(SPEC, barrier(0.0))
+        incident = PacketIntegrator(SPEC, None)
         for z, t in [(5.0, 7.0), (0.0, 0.0), (-3.0, 2.0), (20.0, 40.0)]:
-            d_t = density(transmitted_packet(z, t, SPEC, cfg))
-            d_i = density(incident_packet(z, t, SPEC))
+            d_t = transmitted.density(z, [t])[0]
+            d_i = incident.density(z, [t])[0]
             assert d_t == pytest.approx(d_i, rel=1e-10)
 
     def test_amplitude_scale_is_twice_center_energy(self):
@@ -219,20 +217,3 @@ class TestConvergence:
             )
         estimate = excinfo.value.estimate
         assert estimate == pytest.approx(2.29544239794700562e-08, rel=1e-6)
-
-
-class TestThreading:
-    def test_threaded_evaluation_is_bit_identical(self, monkeypatch):
-        cfg = barrier(10.0)
-        ts = np.linspace(-10.0, 10.0, 1500)
-        monkeypatch.delenv("DIRAC_TUNNEL_THREADS", raising=False)
-        serial = PacketIntegrator(SPEC, cfg).density(10.0, ts)
-        monkeypatch.setenv("DIRAC_TUNNEL_THREADS", "3")
-        threaded = PacketIntegrator(SPEC, cfg).density(10.0, ts)
-        assert np.array_equal(serial, threaded)
-
-    def test_bad_thread_count_falls_back_to_serial(self, monkeypatch):
-        monkeypatch.setenv("DIRAC_TUNNEL_THREADS", "lots")
-        eng = PacketIntegrator(SPEC, barrier(10.0))
-        d = eng.density(10.0, np.array([2.0]))
-        assert d[0] == pytest.approx(2.29544239794700562e-08, rel=1e-9)
