@@ -19,8 +19,8 @@ Scenarios
     width ladder, with quadrature tightened enough to resolve secondary
     peaks twelve orders below the central one.
 ``custom``
-    Whatever the config file asks for: peak scans for each width, transit
-    reports when detectors are given.
+    Whatever the config file asks for: peak scans and filter curves for
+    each width, transit reports when detectors are given.
 
 Output contract: every run writes CSV (or JSON) files plus ``manifest.json``
 recording parameters and sha256 checksums, and a gnuplot stub ``plot.gp``.
@@ -39,6 +39,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,14 @@ from .asymptotics import (
 )
 from .errors import ConfigError, DiracTunnelError
 from .kinematics import BarrierConfig, momentum_window
-from .transit import numeric_tunneling_time, scan_peaks, superluminal_detector_bound, transit_measure, transit_time_predicted
+from .transit import (
+    numeric_tunneling_time,
+    scan_grid,
+    scan_peaks,
+    superluminal_detector_bound,
+    transit_measure,
+    transit_time_predicted,
+)
 from .wavepacket import (
     MAX_NODES,
     PacketSpec,
@@ -61,16 +69,6 @@ from .wavepacket import (
 )
 
 __all__ = ["main", "run_scenario", "validate_config", "parse_config_text", "ScenarioConfig"]
-
-SCENARIOS = (
-    "fig1_filter",
-    "fig2_peaks",
-    "fig3_times",
-    "fig4_transit",
-    "table1",
-    "custom",
-)
-
 
 @dataclass(frozen=True)
 class PhysicsParams:
@@ -136,6 +134,7 @@ _BASE_DEFAULTS = {
     ("output", "format"): "csv",
 }
 
+# where a scenario departs from the base defaults (custom does not)
 _SCENARIO_DEFAULTS = {
     "fig1_filter": {("geometry", "L"): "0, 5, 10, 20, 50"},
     "fig2_peaks": {
@@ -156,7 +155,6 @@ _SCENARIO_DEFAULTS = {
         ("numerics", "tolerance"): "1e-14",
         ("numerics", "peak_floor"): "1e-13",
     },
-    "custom": {},
 }
 
 _VALID_KEYS = frozenset(_BASE_DEFAULTS)
@@ -237,7 +235,8 @@ def validate_config(
     merged: dict[tuple[str, str], tuple[str, int | None]] = {
         path: (value, None) for path, value in _BASE_DEFAULTS.items()
     }
-    merged.update({path: (value, None) for path, value in _SCENARIO_DEFAULTS[scenario].items()})
+    overridden = _SCENARIO_DEFAULTS.get(scenario, {})
+    merged.update({path: (value, None) for path, value in overridden.items()})
     for path, (value, line) in raw.items():
         if path not in _VALID_KEYS:
             raise ConfigError(f"unknown key {path[0]}.{path[1]}", line=line)
@@ -293,6 +292,8 @@ def validate_config(
     for width in geometry.widths:
         if width < 0.0:
             raise ConfigError(f"geometry.L: widths must be non-negative, got {width}")
+    if scenario == "fig4_transit" and not geometry.detectors:
+        raise ConfigError("geometry.D must list at least one detector for fig4_transit")
     if geometry.detectors:
         needed = geometry.offset + max(geometry.widths)
         for det in geometry.detectors:
@@ -312,12 +313,12 @@ def validate_config(
         )
     if not 0.0 < numerics.tolerance < 1.0:
         raise ConfigError(f"numerics.tolerance must lie in (0, 1), got {numerics.tolerance}")
-    if not numerics.t_start < numerics.t_stop:
-        raise ConfigError(
-            f"numerics.t_start={numerics.t_start} must precede t_stop={numerics.t_stop}"
-        )
     if not numerics.t_step > 0.0:
         raise ConfigError(f"numerics.t_step must be positive, got {numerics.t_step}")
+    try:
+        scan_grid((numerics.t_start, numerics.t_stop), numerics.t_step)
+    except ValueError as exc:
+        raise ConfigError(f"numerics.t_start, t_stop, t_step: {exc}") from None
     if not 0.0 < numerics.peak_floor <= 1.0:
         raise ConfigError(f"numerics.peak_floor must lie in (0, 1], got {numerics.peak_floor}")
     if numerics.curve_samples < 2:
@@ -356,16 +357,18 @@ class _Emitter:
         self.outputs: list[dict] = []
         self.failures: list[dict] = []
 
-    def comment(self, width=None, nodes=None) -> str:
+    def _comment(self, width=None) -> str:
         p = self.config.physics
         parts = [f"V0={_fmt_cell(p.v0)}", f"m={_fmt_cell(p.mass)}"]
         if width is not None:
             parts.append(f"L={_fmt_cell(width)}")
         parts += [f"p0={_fmt_cell(p.p0)}", f"d={_fmt_cell(p.d)}"]
-        parts.append(f"nodes={self.config.numerics.nodes if nodes is None else nodes}")
+        parts.append(f"nodes={self.config.numerics.nodes}")
         return " ".join(parts)
 
-    def table(self, name: str, columns: list[str], rows: list[tuple], comment: str):
+    def table(self, name: str, columns: list[str], rows: list[tuple], width=None):
+        """Write one table; its comment line names ``width`` when it holds one width."""
+        comment = self._comment(width)
         if self.config.output.format == "json":
             payload = {
                 "comment": comment,
@@ -394,12 +397,23 @@ class _Emitter:
             }
         )
 
-    def fail(self, item: str, exc: Exception):
-        record = {"item": item, "error": f"{type(exc).__name__}: {exc}"}
-        estimate = getattr(exc, "estimate", None)
-        if estimate is not None:
-            record["estimate"] = float(estimate)
-        self.failures.append(record)
+    def item(self, label: str, fn, *args, **kwargs):
+        """``fn(*args, **kwargs)`` for one item of a scenario (a width, a detector).
+
+        A numeric failure (``DiracTunnelError``, or ``ValueError`` from a
+        scan that finds no peak or no forward arrival) is recorded under
+        ``label`` with its estimate, if any, and None is returned, so the
+        remaining items still run.
+        """
+        try:
+            return fn(*args, **kwargs)
+        except (DiracTunnelError, ValueError) as exc:
+            record = {"item": label, "error": f"{type(exc).__name__}: {exc}"}
+            estimate = getattr(exc, "estimate", None)
+            if estimate is not None:
+                record["estimate"] = float(estimate)
+            self.failures.append(record)
+            return None
 
     def manifest(self) -> dict:
         return {
@@ -443,174 +457,118 @@ def _packet(config: ScenarioConfig) -> PacketSpec:
     return PacketSpec(p0=p.p0, d=p.d, p_min=lo, p_max=hi)
 
 
-def _run_filter(config: ScenarioConfig, emitter: _Emitter):
-    spec = _packet(config)
+def _filter(config, emitter, spec, scan):
     p_axis = np.linspace(spec.p_min, spec.p_max, config.numerics.curve_samples)
+    weight = momentum_weight(p_axis, spec)
     stats_rows = []
     for width in config.geometry.widths:
         cfg = _barrier(config, width)
         g_t, f_t = filtered_distributions(p_axis, spec, cfg)
-        weight = momentum_weight(p_axis, spec)
         rows = list(zip(p_axis, weight, g_t, f_t))
-        emitter.table(
-            f"filter_L{_width_tag(width)}.csv",
-            ["p", "weight", "g_t", "f_t"],
-            rows,
-            emitter.comment(width=width),
+        name = f"filter_L{_width_tag(width)}.csv"
+        emitter.table(name, ["p", "weight", "g_t", "f_t"], rows, width)
+        stats = emitter.item(
+            f"filter_stats L={width:g}", filter_stats, spec, cfg, nodes=config.numerics.nodes
         )
-        try:
-            stats = filter_stats(spec, cfg, nodes=config.numerics.nodes)
-        except DiracTunnelError as exc:
-            emitter.fail(f"filter_stats L={width:g}", exc)
-            continue
-        stats_rows.append(
-            (
-                width,
-                stats.p_mean,
-                stats.e_mean,
-                stats.v_out,
-                stats.transmitted_weight,
-                stats.p_mean / (stats.e_mean + config.physics.mass),
-            )
-        )
+        if stats is not None:
+            ratio = stats.p_mean / (stats.e_mean + config.physics.mass)
+            stats_rows.append((width, *dataclasses.astuple(stats), ratio))
     emitter.table(
         "filter_stats.csv",
         ["L", "p_mean", "e_mean", "v_out", "transmitted_weight", "component_ratio"],
         stats_rows,
-        emitter.comment(),
     )
 
 
-def _scan_one(config: ScenarioConfig, spec, width: float):
-    n = config.numerics
-    cfg = _barrier(config, width)
-    return scan_peaks(
-        config.geometry.offset + width,
-        (n.t_start, n.t_stop),
-        spec,
-        cfg,
-        step=n.t_step,
-        nodes=n.nodes,
-        tol=n.tolerance,
-        min_density_ratio=n.peak_floor,
-    )
-
-
-def _run_peaks(config: ScenarioConfig, emitter: _Emitter, with_curves: bool):
-    spec = _packet(config)
+def _peaks(config, emitter, spec, scan, curves=False):
     n = config.numerics
     peak_rows = []
     for width in config.geometry.widths:
-        try:
-            records = _scan_one(config, spec, width)
-        except DiracTunnelError as exc:
-            emitter.fail(f"scan L={width:g}", exc)
+        z = config.geometry.offset + width
+        cfg = _barrier(config, width)
+        records = emitter.item(
+            f"scan L={width:g}",
+            scan_peaks,
+            z,
+            spec=spec,
+            cfg=cfg,
+            min_density_ratio=n.peak_floor,
+            **scan,
+        )
+        if records is None:
             continue
         for rec in records:
             peak_rows.append((width, rec.kind.value, rec.time, rec.density))
-        if with_curves:
-            t_axis = np.arange(n.t_start, n.t_stop + 0.5 * n.t_step, n.t_step)
-            grid = transmitted_density(
-                config.geometry.offset + width,
-                t_axis,
-                spec,
-                _barrier(config, width),
-                nodes=n.nodes,
-            )
-            emitter.table(
-                f"density_L{_width_tag(width)}.csv",
-                ["t", "density"],
-                list(zip(grid.axis, grid.values)),
-                emitter.comment(width=width),
-            )
-    emitter.table(
-        "peaks.csv",
-        ["L", "kind", "t_peak", "density"],
-        peak_rows,
-        emitter.comment(),
-    )
+        if curves:
+            t_axis = scan_grid(scan["t_range"], scan["step"])
+            grid = transmitted_density(z, t_axis, spec, cfg, nodes=n.nodes)
+            name = f"density_L{_width_tag(width)}.csv"
+            emitter.table(name, ["t", "density"], list(zip(grid.axis, grid.values)), width)
+    emitter.table("peaks.csv", ["L", "kind", "t_peak", "density"], peak_rows)
 
 
-def _run_times(config: ScenarioConfig, emitter: _Emitter):
-    spec = _packet(config)
-    n = config.numerics
+def _times(config, emitter, spec, scan):
     coeffs = series_coefficients(_barrier(config, 0.0))
     v_closed = opaque_tunneling_velocity(_barrier(config, 0.0))
     rows = []
     for width in config.geometry.widths:
-        if width <= 0.0:
-            emitter.fail(f"times L={width:g}", ValueError("width must be positive"))
-            continue
         cfg = _barrier(config, width)
-        try:
-            tau, v = numeric_tunneling_time(
-                spec,
-                cfg,
-                t_range=(n.t_start, n.t_stop),
-                step=n.t_step,
-                nodes=n.nodes,
-                tol=n.tolerance,
-            )
-        except DiracTunnelError as exc:
-            emitter.fail(f"times L={width:g}", exc)
-            continue
-        opaque = opaque_tunneling_time(width, coeffs, mode="exact")
-        rows.append((width, tau, v, opaque.tau, v_closed))
-    emitter.table(
-        "times.csv",
-        ["L", "tau", "v", "tau_opaque", "v_opaque"],
-        rows,
-        emitter.comment(),
-    )
+        measured = emitter.item(f"times L={width:g}", numeric_tunneling_time, spec, cfg, **scan)
+        if measured is not None:
+            tau, v = measured
+            opaque = opaque_tunneling_time(width, coeffs, mode="exact")
+            rows.append((width, tau, v, opaque.tau, v_closed))
+    emitter.table("times.csv", ["L", "tau", "v", "tau_opaque", "v_opaque"], rows)
 
 
-def _run_transit(config: ScenarioConfig, emitter: _Emitter):
-    spec = _packet(config)
-    n = config.numerics
+def _transit(config, emitter, spec, scan):
+    if not config.geometry.detectors:
+        return
     v_closed = opaque_tunneling_velocity(_barrier(config, 0.0))
+
+    def measure(detector, width):
+        cfg = _barrier(config, width)
+        report = transit_measure(detector, spec, cfg, **scan)
+        stats = filter_stats(spec, cfg, nodes=config.numerics.nodes)
+        predicted = (
+            transit_time_predicted(detector, width, v_closed, stats.v_out)
+            if width > 0.0
+            else detector / stats.v_out
+        )
+        bound = superluminal_detector_bound(v_closed, stats.v_out, width)
+        return (
+            (detector, width, report.t_dl, report.v_dl, report.superluminal),
+            (detector, width, predicted, stats.v_out, v_closed, bound),
+        )
+
     transit_rows = []
     context_rows = []
     for detector in config.geometry.detectors:
         for width in config.geometry.widths:
-            cfg = _barrier(config, width)
-            try:
-                report = transit_measure(
-                    detector,
-                    spec,
-                    cfg,
-                    t_range=(n.t_start, n.t_stop),
-                    step=n.t_step,
-                    nodes=n.nodes,
-                    tol=n.tolerance,
-                )
-                stats = filter_stats(spec, cfg, nodes=n.nodes)
-            except DiracTunnelError as exc:
-                emitter.fail(f"transit D={detector:g} L={width:g}", exc)
-                continue
-            transit_rows.append(
-                (detector, width, report.t_dl, report.v_dl, report.superluminal)
-            )
-            predicted = (
-                transit_time_predicted(detector, width, v_closed, stats.v_out)
-                if width > 0.0
-                else detector / stats.v_out
-            )
-            bound = superluminal_detector_bound(v_closed, stats.v_out, width)
-            context_rows.append(
-                (detector, width, predicted, stats.v_out, v_closed, bound)
-            )
-    emitter.table(
-        "transit.csv",
-        ["D", "L", "t_dl", "v_dl", "superluminal"],
-        transit_rows,
-        emitter.comment(),
-    )
+            rows = emitter.item(f"transit D={detector:g} L={width:g}", measure, detector, width)
+            if rows is not None:
+                transit_rows.append(rows[0])
+                context_rows.append(rows[1])
+    emitter.table("transit.csv", ["D", "L", "t_dl", "v_dl", "superluminal"], transit_rows)
     emitter.table(
         "transit_context.csv",
         ["D", "L", "t_predicted", "v_out", "v_tun", "d_bound"],
         context_rows,
-        emitter.comment(),
     )
+
+
+# The steps of each scenario in run order, each called as
+# step(config, emitter, spec, scan); the keys are the scenario names.
+_STEPS = {
+    "fig1_filter": (_filter,),
+    "fig2_peaks": (partial(_peaks, curves=True),),
+    "fig3_times": (_times,),
+    "fig4_transit": (_transit,),
+    "table1": (_peaks,),
+    "custom": (_peaks, _filter, _transit),
+}
+
+SCENARIOS = tuple(_STEPS)
 
 
 def run_scenario(config: ScenarioConfig) -> dict:
@@ -622,25 +580,12 @@ def run_scenario(config: ScenarioConfig) -> dict:
     """
     emitter = _Emitter(config)
     emitter.directory.mkdir(parents=True, exist_ok=True)
-
-    scenario = config.scenario
-    if scenario == "fig1_filter":
-        _run_filter(config, emitter)
-    elif scenario == "fig2_peaks":
-        _run_peaks(config, emitter, with_curves=True)
-    elif scenario == "table1":
-        _run_peaks(config, emitter, with_curves=False)
-    elif scenario == "fig3_times":
-        _run_times(config, emitter)
-    elif scenario == "fig4_transit":
-        _run_transit(config, emitter)
-    elif scenario == "custom":
-        _run_peaks(config, emitter, with_curves=False)
-        _run_filter(config, emitter)
-        if config.geometry.detectors:
-            _run_transit(config, emitter)
-    else:  # pragma: no cover - guarded by validate_config
-        raise ConfigError(f"unknown scenario {scenario!r}")
+    spec = _packet(config)
+    n = config.numerics
+    # the arguments every scan takes, whatever it measures
+    scan = dict(t_range=(n.t_start, n.t_stop), step=n.t_step, nodes=n.nodes, tol=n.tolerance)
+    for step in _STEPS[config.scenario]:
+        step(config, emitter, spec, scan)
 
     if config.output.format == "csv":
         emitter.text("plot.gp", _plot_stub(emitter.outputs))
@@ -686,13 +631,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="dirac-tunnel",
         description="Relativistic wave-packet tunneling scenarios",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="run a named scenario")
-    run.add_argument("--scenario", required=True, choices=SCENARIOS)
-    run.add_argument("--out", default=None, help="output directory")
-    run.add_argument("--config", default=None, help="config file path")
-    run.add_argument(
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", default=None, help="output directory")
+    common.add_argument("--config", default=None, help="config file path")
+    common.add_argument(
         "--set",
         dest="set_items",
         action="append",
@@ -700,18 +642,13 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SECTION.KEY=VALUE",
         help="override one config value (repeatable)",
     )
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    sweep = sub.add_parser("sweep", help="sweep barrier widths (times scenario)")
+    run = sub.add_parser("run", parents=[common], help="run a named scenario")
+    run.add_argument("--scenario", required=True, choices=SCENARIOS)
+
+    sweep = sub.add_parser("sweep", parents=[common], help="sweep barrier widths (times scenario)")
     sweep.add_argument("--L", required=True, metavar="START:STOP:STEP")
-    sweep.add_argument("--out", default=None, help="output directory")
-    sweep.add_argument("--config", default=None, help="config file path")
-    sweep.add_argument(
-        "--set",
-        dest="set_items",
-        action="append",
-        default=[],
-        metavar="SECTION.KEY=VALUE",
-    )
     return parser
 
 

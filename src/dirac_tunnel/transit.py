@@ -28,12 +28,16 @@ __all__ = [
     "PeakKind",
     "PeakRecord",
     "TransitReport",
+    "scan_grid",
     "scan_peaks",
     "numeric_tunneling_time",
     "transit_time_predicted",
     "transit_measure",
     "superluminal_detector_bound",
 ]
+
+# time spacing at which parabolic refinement of an extremum stops
+_REFINE_TOL = 1e-3
 
 
 class PeakKind(enum.Enum):
@@ -85,6 +89,21 @@ def _refine_extremum(evaluate, t0: float, step: float, tol: float) -> float:
     return t
 
 
+def scan_grid(t_range: tuple[float, float], step: float) -> np.ndarray:
+    """The coarse time grid of a scan: ``t_range`` inclusive, spaced ``step``.
+
+    Raises ``ValueError`` when the range is empty or holds fewer than three
+    grid points, too few for an interior maximum.
+    """
+    t_start, t_stop = float(t_range[0]), float(t_range[1])
+    if not t_stop > t_start:
+        raise ValueError(f"empty time range {t_range}")
+    ts = np.arange(t_start, t_stop + 0.5 * step, step)
+    if ts.size < 3:
+        raise ValueError("time range shorter than three scan steps")
+    return ts
+
+
 def scan_peaks(
     z_eval: float,
     t_range: tuple[float, float],
@@ -94,13 +113,14 @@ def scan_peaks(
     step: float = 0.25,
     nodes: int = 2048,
     tol: float | None = None,
-    refine_tol: float = 1e-3,
     min_density_ratio: float = 1e-6,
 ) -> list[PeakRecord]:
     """All density extrema in time at a fixed position, sorted by time.
 
-    A coarse grid with spacing ``step`` locates strict local maxima, each
-    then refined by iterated parabolic interpolation to ``refine_tol``.
+    A coarse grid (:func:`scan_grid`) with spacing ``step`` locates strict
+    local maxima, each then refined by iterated parabolic interpolation to
+    a time spacing of 1e-3.  A range too short for that grid raises
+    ``ValueError``.
     Maxima whose density falls below ``min_density_ratio`` times the
     central (largest) one are treated as quadrature noise and dropped; one
     minimum is reported between each adjacent pair of surviving maxima.
@@ -117,13 +137,7 @@ def scan_peaks(
 
     Raises ``ValueError`` when the range contains no strict local maximum.
     """
-    t_start, t_stop = float(t_range[0]), float(t_range[1])
-    if not t_stop > t_start:
-        raise ValueError(f"empty time range {t_range}")
-    ts = np.arange(t_start, t_stop + 0.5 * step, step)
-    if ts.size < 3:
-        raise ValueError("time range shorter than three scan steps")
-
+    ts = scan_grid(t_range, step)
     eng = PacketIntegrator(spec, cfg, nodes=nodes)
     dens = eng.density(z_eval, ts)
     if tol is not None:
@@ -136,7 +150,8 @@ def scan_peaks(
     max_idx = interior[is_max]
     if max_idx.size == 0:
         raise ValueError(
-            f"no local density maximum at z={z_eval} for t in [{t_start}, {t_stop}]"
+            f"no local density maximum at z={z_eval} for t in "
+            f"[{float(t_range[0])}, {float(t_range[1])}]"
         )
 
     def evaluate(t_arr):
@@ -144,7 +159,7 @@ def scan_peaks(
 
     refined = []
     for i in max_idx:
-        t_peak = _refine_extremum(evaluate, float(ts[i]), step, refine_tol)
+        t_peak = _refine_extremum(evaluate, float(ts[i]), step, _REFINE_TOL)
         refined.append((t_peak, float(evaluate(np.array([t_peak]))[0]), int(i)))
 
     central_density = max(r[1] for r in refined)
@@ -163,7 +178,7 @@ def scan_peaks(
             continue
         segment = slice(lo + 1, hi)
         j = lo + 1 + int(np.argmin(dens[segment]))
-        t_min = _refine_extremum(evaluate, float(ts[j]), step, refine_tol)
+        t_min = _refine_extremum(evaluate, float(ts[j]), step, _REFINE_TOL)
         if not t_a < t_min < t_b:
             t_min = float(ts[j])
         records.append(
@@ -192,7 +207,6 @@ def numeric_tunneling_time(
     step: float = 0.25,
     nodes: int = 2048,
     tol: float | None = 1e-8,
-    refine_tol: float = 1e-3,
 ) -> tuple[float, float]:
     """Emergence time of the central peak at the downstream face, and L/tau.
 
@@ -209,7 +223,6 @@ def numeric_tunneling_time(
         step=step,
         nodes=nodes,
         tol=tol,
-        refine_tol=refine_tol,
     )
     tau = _central_peak(records).time
     return tau, cfg.width / tau
@@ -236,7 +249,6 @@ def transit_measure(
     step: float = 0.25,
     nodes: int = 2048,
     tol: float | None = 1e-8,
-    refine_tol: float = 1e-3,
 ) -> TransitReport:
     """Measured arrival of the transmitted peak at a detector ``d``.
 
@@ -249,9 +261,7 @@ def transit_measure(
             f"detector at {d} sits inside the barrier "
             f"[{cfg.offset}, {cfg.offset + cfg.width}]"
         )
-    records = scan_peaks(
-        d, t_range, spec, cfg, step=step, nodes=nodes, tol=tol, refine_tol=refine_tol
-    )
+    records = scan_peaks(d, t_range, spec, cfg, step=step, nodes=nodes, tol=tol)
     central = _central_peak(records)
     if not central.time > 0.0:
         raise ValueError(

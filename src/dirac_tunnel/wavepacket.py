@@ -158,8 +158,8 @@ class PacketIntegrator:
 
     The node table (momenta, energies, weighted coefficients) is built once
     and never mutated, so a single instance can be shared freely.  ``cfg=None``
-    builds the free (incident) packet; otherwise the coefficients include
-    the transmitted amplitude of ``cfg``.
+    builds the free (incident) packet at unit mass; otherwise the
+    coefficients include the transmitted amplitude of ``cfg``.
     """
 
     def __init__(
@@ -167,15 +167,10 @@ class PacketIntegrator:
         spec: PacketSpec,
         cfg: BarrierConfig | None = None,
         nodes: int = 2048,
-        mass: float | None = None,
     ):
-        if cfg is not None:
-            mass = cfg.mass
-        elif mass is None:
-            mass = 1.0
         self.spec = spec
         self.cfg = cfg
-        self.mass = float(mass)
+        self.mass = 1.0 if cfg is None else float(cfg.mass)
         p, w = _composite_rule(spec.p_min, spec.p_max, nodes)
         self.nodes = p.size
         self.p = p

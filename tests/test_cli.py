@@ -140,6 +140,12 @@ class TestValidateConfig:
         assert excinfo.value.line == 2
         assert "not a number" in str(excinfo.value)
 
+    def test_transit_needs_a_detector(self):
+        overrides = {("geometry", "D"): ""}
+        with pytest.raises(ConfigError, match="geometry.D"):
+            validate_config({}, "fig4_transit", overrides=overrides)
+        assert validate_config({}, "custom", overrides=overrides).geometry.detectors == ()
+
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError):
             validate_config({}, "fig9")
@@ -153,6 +159,7 @@ class TestValidateConfig:
         "[numerics]\ntolerance = 2\n",
         "[numerics]\nt_start = 5\nt_stop = 5\n",
         "[numerics]\nt_step = 0\n",
+        "[numerics]\nt_start = 0\nt_stop = 0.3\nt_step = 0.25\n",  # two scan steps
         "[numerics]\npeak_floor = 0\n",
         "[numerics]\ncurve_samples = 1\n",
         "[output]\nformat = yaml\n",
@@ -336,6 +343,25 @@ class TestFailurePath:
                                                    rel=1e-6)
         # partial outputs still written
         assert (tmp_path / "times.csv").is_file()
+
+    @pytest.mark.parametrize("overrides, item", [
+        # the central peak arrives before t = 0
+        (["geometry.offset=-20", "geometry.L=30", "geometry.D=15"], "transit D=15 L=30"),
+        # the window ends before the packet arrives
+        (["geometry.L=10", "numerics.t_start=-300", "numerics.t_stop=-100"],
+         "transit D=40 L=10"),
+    ])
+    def test_scan_value_error_is_an_item_failure(self, tmp_path, capsys, overrides, item):
+        argv = ["run", "--scenario", "fig4_transit", "--out", str(tmp_path)]
+        for override in overrides:
+            argv += ["--set", override]
+        assert main(argv) == 3
+        assert f"failed: {item}: ValueError" in capsys.readouterr().err
+        manifest = read_manifest(tmp_path)
+        assert [f["item"] for f in manifest["failures"]] == [item]
+        assert manifest["failures"][0]["error"].startswith("ValueError: ")
+        for name in ("transit.csv", "transit_context.csv", "plot.gp"):
+            assert (tmp_path / name).is_file()
 
 
 class TestSubprocessEntry:
