@@ -26,8 +26,8 @@ Output contract: every run writes CSV (or JSON) files plus ``manifest.json``
 recording parameters and sha256 checksums, and a gnuplot stub ``plot.gp``.
 Reruns with identical configuration produce byte-identical files: node
 counts are fixed, nothing depends on wall clock or RNG.  Exit codes:
-0 success, 2 invalid configuration, 3 numeric non-convergence (partial
-manifest with failure records).
+0 success, 2 invalid configuration or unwritable output directory, 3
+numeric non-convergence (partial manifest with failure records).
 """
 
 from __future__ import annotations
@@ -292,6 +292,17 @@ def validate_config(
     for width in geometry.widths:
         if width < 0.0:
             raise ConfigError(f"geometry.L: widths must be non-negative, got {width}")
+    # these scenarios write one file per width, named by its tag
+    if scenario in ("fig1_filter", "fig2_peaks", "custom"):
+        tagged: dict[str, float] = {}
+        for width in geometry.widths:
+            tag = _width_tag(width)
+            if tag in tagged:
+                raise ConfigError(
+                    f"geometry.L: widths {tagged[tag]!r} and {width!r} would both "
+                    f"write files tagged L{tag}"
+                )
+            tagged[tag] = width
     if scenario == "fig4_transit" and not geometry.detectors:
         raise ConfigError("geometry.D must list at least one detector for fig4_transit")
     if geometry.detectors:
@@ -525,11 +536,14 @@ def _transit(config, emitter, spec, scan):
     if not config.geometry.detectors:
         return
     v_closed = opaque_tunneling_velocity(_barrier(config, 0.0))
+    stats_of = {}  # filter statistics per width, shared by every detector
 
     def measure(detector, width):
         cfg = _barrier(config, width)
         report = transit_measure(detector, spec, cfg, **scan)
-        stats = filter_stats(spec, cfg, nodes=config.numerics.nodes)
+        if width not in stats_of:
+            stats_of[width] = filter_stats(spec, cfg, nodes=config.numerics.nodes)
+        stats = stats_of[width]
         predicted = (
             transit_time_predicted(detector, width, v_closed, stats.v_out)
             if width > 0.0
@@ -677,7 +691,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    manifest = run_scenario(config)
+    try:
+        manifest = run_scenario(config)
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return 2
     for out in manifest["outputs"]:
         print(f"wrote {Path(config.output.directory) / out['file']}")
     if manifest["failures"]:

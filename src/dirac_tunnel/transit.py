@@ -28,7 +28,6 @@ __all__ = [
     "PeakKind",
     "PeakRecord",
     "TransitReport",
-    "scan_grid",
     "scan_peaks",
     "numeric_tunneling_time",
     "transit_time_predicted",

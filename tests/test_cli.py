@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from dirac_tunnel import cli
 from dirac_tunnel.cli import (
     SCENARIOS,
     main,
@@ -15,7 +16,7 @@ from dirac_tunnel.cli import (
     validate_config,
 )
 from dirac_tunnel.errors import ConfigError
-from dirac_tunnel.wavepacket import MAX_NODES
+from dirac_tunnel.wavepacket import MAX_NODES, filter_stats
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -163,11 +164,23 @@ class TestValidateConfig:
         "[numerics]\npeak_floor = 0\n",
         "[numerics]\ncurve_samples = 1\n",
         "[output]\nformat = yaml\n",
+        "[geometry]\nL = 1, 1.0000001\n",  # both tagged L1
+        "[geometry]\nL = 10, 10\n",
     ])
     def test_bounds_rejected(self, text):
         raw = parse_config_text(text)
         with pytest.raises(ConfigError):
             validate_config(raw, "custom")
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_shared_width_tag_matters_only_for_per_width_files(self, scenario):
+        overrides = {("geometry", "L"): "1, 1.0000001"}
+        if scenario in ("fig1_filter", "fig2_peaks", "custom"):
+            with pytest.raises(ConfigError, match=r"widths 1\.0 and 1\.0000001 .* L1$"):
+                validate_config({}, scenario, overrides=overrides)
+        else:
+            config = validate_config({}, scenario, overrides=overrides)
+            assert config.geometry.widths == (1.0, 1.0000001)
 
 
 class TestMainErrors:
@@ -209,6 +222,14 @@ class TestMainErrors:
     @pytest.mark.parametrize("spec", ["10:5:1", "10:20", "a:b:c", "0:10:0"])
     def test_bad_sweep_ranges(self, tmp_path, spec):
         assert main(["sweep", "--L", spec, "--out", str(tmp_path)]) == 2
+
+    def test_unwritable_output_directory(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["run", "--scenario", "fig1_filter", "--out", str(blocker / "sub"),
+                     "--set", "geometry.L=0"])
+        assert code == 2
+        assert "error: cannot write outputs: " in capsys.readouterr().err
 
     def test_unknown_cli_scenario_exits_nonzero(self, tmp_path, capsys):
         code = main(["run", "--scenario", "fig9", "--out", str(tmp_path)])
@@ -362,6 +383,24 @@ class TestFailurePath:
         assert manifest["failures"][0]["error"].startswith("ValueError: ")
         for name in ("transit.csv", "transit_context.csv", "plot.gp"):
             assert (tmp_path / name).is_file()
+
+
+class TestTransitStats:
+    def test_filter_stats_once_per_width(self, tmp_path, monkeypatch):
+        widths = []
+
+        def counted(spec, cfg, **kwargs):
+            widths.append(cfg.width)
+            return filter_stats(spec, cfg, **kwargs)
+
+        monkeypatch.setattr(cli, "filter_stats", counted)
+        code = main(["run", "--scenario", "custom", "--out", str(tmp_path),
+                     "--set", "geometry.L=0, 10", "--set", "geometry.D=40, 60"])
+        assert code == 0
+        # once per width in the filter step, once per width for both detectors
+        assert widths == [0.0, 10.0, 0.0, 10.0]
+        _, _, rows = read_csv(tmp_path / "transit_context.csv")
+        assert [row[:2] for row in rows] == [["40", "0"], ["40", "10"], ["60", "0"], ["60", "10"]]
 
 
 class TestSubprocessEntry:

@@ -1,4 +1,5 @@
-"""The public surface: every exported name resolves, removed names stay gone."""
+"""The public surface: the package exports a frozen set of names, the union of its
+library modules' `__all__`; every exported name resolves, removed names stay gone."""
 
 import importlib
 import inspect
@@ -18,11 +19,12 @@ from dirac_tunnel import (
 from dirac_tunnel import cli, transit
 from dirac_tunnel.kinematics import BarrierConfig
 
-MODULES = [dirac_tunnel] + [
+# the modules whose __all__ the package re-exports, in the package's order
+LIBRARY_MODULES = [
     importlib.import_module(f"dirac_tunnel.{name}")
-    for name in ("asymptotics", "cli", "errors", "kinematics", "scattering",
-                 "transit", "wavepacket")
+    for name in ("asymptotics", "errors", "kinematics", "scattering", "transit", "wavepacket")
 ]
+MODULES = [dirac_tunnel, cli] + LIBRARY_MODULES
 
 # Each of these was a second way into the packet quadrature; the only entry
 # points are PacketIntegrator.density and density_z.
@@ -36,6 +38,32 @@ REMOVED = [
     "_cached_integrator",
     "_workers",
 ]
+
+
+PACKAGE_SURFACE = [
+    "BarrierConfig", "ConfigError", "ConvergenceError", "DegenerateWeightError",
+    "DensityGrid", "DiracTunnelError", "EnergyZone", "EnergyZoneError", "FilterStats",
+    "MatchingSolution", "NumericalDegeneracyError", "OpaqueSolution", "PacketIntegrator",
+    "PacketSpec", "PeakKind", "PeakRecord", "SeriesCoefficients", "TransitReport",
+    "UnsupportedRegimeError", "__version__", "classify_zone", "converged_integrator",
+    "evanescent_rho", "filter_stats", "filtered_distributions", "group_velocity",
+    "maximize_peak_functional", "moment_s", "momentum_weight", "momentum_window",
+    "numeric_tunneling_time", "opaque_transmission_magnitude", "opaque_tunneling_time",
+    "opaque_tunneling_velocity", "peak_functional", "scan_peaks", "series_coefficients",
+    "solve_matching", "superluminal_detector_bound", "total_energy", "transit_measure",
+    "transit_time_predicted", "transmission_amplitude", "transmission_phase",
+    "transmitted_density",
+]
+
+
+def test_package_surface_is_frozen():
+    assert sorted(dirac_tunnel.__all__) == PACKAGE_SURFACE
+
+
+def test_package_surface_is_the_union_of_the_library_modules():
+    union = ["__version__"] + [name for m in LIBRARY_MODULES for name in m.__all__]
+    assert len(set(union)) == len(union)
+    assert dirac_tunnel.__all__ == union
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
