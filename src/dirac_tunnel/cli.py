@@ -637,7 +637,8 @@ def _parse_sweep_range(text: str) -> str:
         raise ConfigError(f"--L range is empty: {text!r}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     widths = [start + i * step for i in range(count)]
-    return ", ".join(format(w, "g") for w in widths)
+    # exact values: sweep writes no per-width files, so no tag is needed
+    return ", ".join(repr(w) for w in widths)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -126,9 +126,14 @@ def scan_peaks(
 
     ``tol`` switches on the quadrature convergence gate: the node count is
     doubled until the density at the coarse global maximum is stable to
-    that relative tolerance.  Secondary peaks sit many orders of magnitude
-    below the central one, so scans that must resolve them should pass a
-    tight gate (1e-14) and a correspondingly low ``min_density_ratio``.
+    that relative tolerance.  The grid is evaluated once, on the rule of
+    ``2 * nodes`` nodes; its global maximum is the probe at which the gate
+    compares that rule against ``nodes`` nodes, and only a gate that
+    escalates past ``2 * nodes`` makes the grid be evaluated again, on the
+    rule it keeps.  Without ``tol`` the grid is evaluated on ``nodes``
+    nodes.  Secondary peaks sit many orders of magnitude below the central
+    one, so scans that must resolve them should pass a tight gate (1e-14)
+    and a correspondingly low ``min_density_ratio``.
     A ``tol`` below the rounding floor of the probe density (about 2e-16
     relative) is refused with :class:`ConvergenceError` before any finer
     rule is built: two rules that agree bit for bit do not count as
@@ -137,12 +142,14 @@ def scan_peaks(
     Raises ``ValueError`` when the range contains no strict local maximum.
     """
     ts = scan_grid(t_range, step)
-    eng = PacketIntegrator(spec, cfg, nodes=nodes)
+    eng = PacketIntegrator(spec, cfg, nodes=nodes if tol is None else 2 * nodes)
     dens = eng.density(z_eval, ts)
     if tol is not None:
         probe = float(ts[int(np.argmax(dens))])
-        eng = converged_integrator(spec, cfg, z_eval, probe, tol=tol, nodes=nodes)
-        dens = eng.density(z_eval, ts)
+        gated = converged_integrator(spec, cfg, z_eval, probe, tol=tol, nodes=nodes)
+        if gated.nodes != eng.nodes:
+            eng = gated
+            dens = eng.density(z_eval, ts)
 
     interior = np.arange(1, ts.size - 1)
     is_max = (dens[interior] > dens[interior - 1]) & (dens[interior] > dens[interior + 1])

@@ -15,10 +15,20 @@ combinations), so the rule converges spectrally and the same node table is
 reliable from the almost transparent to the deeply opaque regime, where the
 integral itself shrinks below 1e-25 while staying far above the rounding
 floor of the quadrature.
+
+A curve is the sum over the N nodes of the coefficients times the phase
+``exp(i p z - i E t)`` at each of its K points.  On an evenly spaced grid
+(the scan grids in time, position grids) the phase block factorizes into a
+coarse and a fine block of about sqrt(K) columns each, the chirp-z
+factorization of Rabiner, Schafer and Rader (1969), so a curve costs about
+``2 N sqrt(K)`` complex exps and one matrix product per chunk instead of
+``N K`` exps; other grids, and single points and triples, take the direct
+sum (see ``PacketIntegrator._sum_over_nodes``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -42,6 +52,7 @@ __all__ = [
 
 _PANEL = 64          # Gauss-Legendre points per panel
 _TIME_CHUNK = 512    # spacetime points per matrix block
+_EVEN_ULPS = 4       # spacing error, in ulps of max|x|, of an evenly spaced axis
 # Node ceiling of the convergence gate; a start rule above half of it
 # cannot be doubled even once.
 MAX_NODES = 65536
@@ -148,6 +159,24 @@ def _composite_rule(lo: float, hi: float, nodes: int):
     return p, w
 
 
+def _fine_offsets(axis: np.ndarray) -> np.ndarray:
+    """Fine-block offsets ``j h``, ``j < b``, of the phase factorization on ``axis``.
+
+    ``b = isqrt(K)`` (at most ``_TIME_CHUNK``) when the K points are evenly
+    spaced, that is when each lies within ``_EVEN_ULPS`` ulps of ``max|x|``
+    of the line through the first and last point; otherwise, or when
+    ``K < 4``, ``b = 1`` and the only offset is 0.
+    """
+    k = axis.size
+    if k < 4:
+        return np.zeros(1)
+    h = (axis[-1] - axis[0]) / (k - 1)
+    drift = np.max(np.abs(axis - (axis[0] + h * np.arange(k))))
+    if not drift <= _EVEN_ULPS * np.finfo(float).eps * np.max(np.abs(axis)):
+        return np.zeros(1)
+    return h * np.arange(min(math.isqrt(k), _TIME_CHUNK))
+
+
 def _modulus2(g, f):
     """Spinor density |g|^2 + |f|^2 of the two component amplitudes."""
     return (g * np.conj(g) + f * np.conj(f)).real
@@ -175,38 +204,50 @@ class PacketIntegrator:
         self.nodes = p.size
         self.p = p
         self.energy = total_energy(p, self.mass)
-        self._u2 = p / (self.energy + self.mass)
         coef = w * momentum_weight(p, spec).astype(complex)
         if cfg is not None:
             coef = coef * transmission_amplitude(p, cfg)
         # Constant amplitude normalization, see the module docstring.
         self._scale = 2.0 * float(total_energy(spec.p0, self.mass))
-        self._c0 = coef
-        self._c2 = coef * self._u2
+        # the two coefficient rows c0 (large component) and c2 (small)
+        self._coef = np.stack((coef, coef * (p / (self.energy + self.mass))))
 
     # -- core evaluation ---------------------------------------------------
 
-    def _sum_over_nodes(self, fixed0, fixed2, rows, cols):
-        """fixed @ exp(rows x cols), chunked over columns."""
-        n_out = cols.size
-        out0 = np.empty(n_out, dtype=complex)
-        out2 = np.empty(n_out, dtype=complex)
-        # exp(rows x cols) is materialized one column chunk at a time so the
-        # footprint stays at nodes * _TIME_CHUNK regardless of grid size.
-        for i in range(0, n_out, _TIME_CHUNK):
-            sl = slice(i, min(i + _TIME_CHUNK, n_out))
-            block = np.exp(rows[:, None] * cols[None, sl])
-            out0[sl] = fixed0 @ block
-            out2[sl] = fixed2 @ block
-        return out0, out2
+    def _sum_over_nodes(self, fixed, rows, cols):
+        """Both rows of ``fixed @ exp(rows x cols)``, by a factorized phase block.
+
+        ``fixed`` stacks the two coefficient rows (shape ``(2, N)``); the
+        result has shape ``(2, K)`` for the ``K`` points of ``cols``.  On an
+        evenly spaced axis ``x_k = x_0 + k h`` the phase splits at the fine
+        block length ``b`` (:func:`_fine_offsets`) as
+        ``exp(r x_{ab+j}) = exp(r x_{ab}) exp(r j h)``: the fine block
+        ``fixed * exp(rows x jh)`` (``N x b`` per row) is built once, and
+        each chunk of ``_TIME_CHUNK // b`` coarse columns ``exp(rows x
+        x_{ab})`` is contracted with it in one matrix product.  A K-point
+        axis then costs about ``2 N sqrt(K)`` complex exps instead of
+        ``N K``, and no phase block larger than ``N x _TIME_CHUNK`` is
+        materialized.  An axis that is not evenly spaced, or has fewer than
+        4 points, gets ``b = 1``: every column is a coarse column and the
+        sum is the plain matrix-vector product of ``exp(rows x cols)``.
+        """
+        offsets = _fine_offsets(cols)
+        b = offsets.size
+        weighted = fixed[:, :, None] * np.exp(rows[:, None] * offsets[None, :])
+        starts = cols[::b]
+        out = np.empty((2, starts.size, b), dtype=complex)
+        width = _TIME_CHUNK // b
+        for i in range(0, starts.size, width):
+            sl = slice(i, i + width)
+            coarse = np.exp(rows[:, None] * starts[None, sl])
+            out[:, sl] = coarse.T @ weighted
+        return out.reshape(2, -1)[:, : cols.size]
 
     def amplitudes(self, z: float, ts):
         """Large and small component amplitudes at position z over times ts."""
         ts = np.asarray(ts, dtype=float)
         phase_z = np.exp(1j * self.p * float(z))
-        g, f = self._sum_over_nodes(
-            self._c0 * phase_z, self._c2 * phase_z, -1j * self.energy, ts
-        )
+        g, f = self._sum_over_nodes(self._coef * phase_z, -1j * self.energy, ts)
         return self._scale * g, self._scale * f
 
     def density(self, z: float, ts):
@@ -217,9 +258,7 @@ class PacketIntegrator:
         """|psi|^2 on a position grid at one time."""
         zs = np.asarray(zs, dtype=float)
         evolve = np.exp(-1j * self.energy * float(t))
-        g, f = self._sum_over_nodes(
-            self._c0 * evolve, self._c2 * evolve, 1j * self.p, zs
-        )
+        g, f = self._sum_over_nodes(self._coef * evolve, 1j * self.p, zs)
         return _modulus2(self._scale * g, self._scale * f)
 
 
@@ -304,8 +343,7 @@ def converged_integrator(
     g, f = start.amplitudes(z, [t])
     d_prev = float(_modulus2(g, f)[0])
     if d_prev > 0.0:
-        s0 = start._scale * float(np.sum(np.abs(start._c0)))
-        s2 = start._scale * float(np.sum(np.abs(start._c2)))
+        s0, s2 = start._scale * np.sum(np.abs(start._coef), axis=1)
         eps = np.finfo(float).eps
         floor = eps * (abs(g[0]) * s0 + abs(f[0]) * s2) / d_prev
         if tol < floor:

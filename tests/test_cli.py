@@ -314,6 +314,16 @@ class TestSweep:
             # scale for these widths
             assert float(row[1]) == pytest.approx(float(row[3]), rel=1.0)
 
+    @pytest.mark.parametrize("spec, widths", [
+        ("100000:100001:0.5", (100000.0, 100000.5, 100001.0)),
+        ("1.0000001:3:1", (1.0000001, 1.0000001 + 1.0)),
+    ])
+    def test_widths_are_passed_exactly(self, spec, widths):
+        # six significant digits ran 100000 twice and never 100000.5
+        overrides = {("geometry", "L"): cli._parse_sweep_range(spec)}
+        config = validate_config({}, "fig3_times", overrides=overrides)
+        assert config.geometry.widths == widths
+
 
 class TestJsonFormat:
     def test_filter_scenario_as_json(self, tmp_path):

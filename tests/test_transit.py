@@ -5,6 +5,7 @@ import pytest
 
 from dirac_tunnel import (
     BarrierConfig,
+    PacketIntegrator,
     PacketSpec,
     PeakKind,
     filter_stats,
@@ -127,6 +128,22 @@ class TestScanBehavior:
     def test_monotone_window_has_no_maximum(self):
         with pytest.raises(ValueError):
             scan_peaks(40.0, (0.0, 1.0), SPEC, barrier(10.0))
+
+    @pytest.mark.parametrize("width, tol, grids", [(10.0, 1e-8, [4096]), (30.0, 1e-14, [4096, 16384])])
+    def test_grid_is_evaluated_once_on_the_kept_rule(self, monkeypatch, width, tol, grids):
+        # A gated scan evaluates its grid on twice the start rule; only a gate
+        # that escalates past that rule makes it evaluate the grid again.
+        grid_nodes = []
+        density = PacketIntegrator.density
+
+        def spy(integrator, z, ts):
+            if np.size(ts) > 3:
+                grid_nodes.append(integrator.nodes)
+            return density(integrator, z, ts)
+
+        monkeypatch.setattr(PacketIntegrator, "density", spy)
+        scan_peaks(width, (-100.0, 100.0), SPEC, barrier(width), tol=tol)
+        assert grid_nodes == grids
 
 
 class TestTunnelingTime:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dirac_tunnel import wavepacket
 from dirac_tunnel import (
     BarrierConfig,
     ConvergenceError,
@@ -118,6 +119,64 @@ class TestNormConservation:
             norms.append(0.25 * (np.sum(v) - 0.5 * (v[0] + v[-1])))
         spread = (max(norms) - min(norms)) / max(norms)
         assert spread <= 1e-3
+
+
+# evenly spaced axes of every short length, a partial last block (1000 =
+# 31 * 32 + 8) and one axis that is not evenly spaced; each is centred on
+# the peak of its curve (unit offsets from it)
+EVEN_LENGTHS = [1, 2, 3, 4, 5, 801, 1000]
+OFFSETS = [np.arange(k) - k // 2 for k in EVEN_LENGTHS] + [np.linspace(-1.0, 1.0, 300) ** 3]
+OFFSET_IDS = [*map(str, EVEN_LENGTHS), "uneven"]
+
+
+def direct_density(eng, phase):
+    """|psi|^2 by a plain sum of the node table against a full phase block."""
+    g, f = (eng._scale * eng._coef) @ phase
+    return np.abs(g) ** 2 + np.abs(f) ** 2
+
+
+class TestFactorizedKernel:
+    """density and density_z against a direct exp sum over the same nodes."""
+
+    @pytest.fixture(params=[None, 7], ids=["default_chunk", "chunk_7"])
+    def chunk(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(wavepacket, "_TIME_CHUNK", request.param)
+
+    @staticmethod
+    def assert_close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+    @pytest.mark.parametrize("k", EVEN_LENGTHS)
+    def test_even_axes_are_factorized(self, k):
+        axis = 2.0 + 0.25 * np.arange(k)
+        expected = 1 if k < 4 else math.isqrt(k)
+        assert wavepacket._fine_offsets(axis).size == expected
+
+    def test_axis_even_to_an_ulp_is_factorized(self):
+        axis = -100.0 + 0.25 * np.arange(801)
+        axis[1::2] = np.nextafter(axis[1::2], np.inf)
+        assert wavepacket._fine_offsets(axis).size == 28
+
+    def test_uneven_axis_is_not_factorized(self):
+        assert wavepacket._fine_offsets(OFFSETS[-1]).size == 1
+
+    @pytest.mark.parametrize("offsets", OFFSETS, ids=OFFSET_IDS)
+    def test_density_over_times(self, chunk, offsets):
+        # the transmitted peak at the downstream face, t = 2.05
+        ts = 2.0 + 0.25 * offsets
+        eng = PacketIntegrator(SPEC, barrier(10.0))
+        phase = np.exp(1j * np.outer(eng.p, np.full_like(ts, 10.0)) - 1j * np.outer(eng.energy, ts))
+        self.assert_close(eng.density(10.0, ts), direct_density(eng, phase))
+
+    @pytest.mark.parametrize("offsets", OFFSETS, ids=OFFSET_IDS)
+    def test_density_over_positions(self, chunk, offsets):
+        # the free packet's peak near z = 20 at t = 30
+        zs = 20.0 + 0.5 * offsets
+        eng = PacketIntegrator(SPEC, None)
+        phase = np.exp(1j * np.outer(eng.p, zs) - 1j * np.outer(eng.energy, np.full_like(zs, 30.0)))
+        self.assert_close(eng.density_z(zs, 30.0), direct_density(eng, phase))
 
 
 class TestFilteredDistributions:
