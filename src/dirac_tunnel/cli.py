@@ -50,7 +50,9 @@ from .asymptotics import (
     series_coefficients,
 )
 from .errors import ConfigError, DiracTunnelError
-from .kinematics import BarrierConfig, momentum_window
+# momentum_window is not called here, but the benchmark's tracer
+# (perfbench/tracer.py) wraps it under this module's name
+from .kinematics import BarrierConfig, momentum_window  # noqa: F401
 from .transit import (
     numeric_tunneling_time,
     scan_grid,
@@ -113,53 +115,6 @@ class ScenarioConfig:
 
 # -- configuration loading --------------------------------------------------
 
-_CANONICAL_P0 = math.sqrt(3.0) / 2.0
-
-_BASE_DEFAULTS = {
-    ("physics", "v0"): "1.0",
-    ("physics", "mass"): "1.0",
-    ("physics", "p0"): repr(_CANONICAL_P0),
-    ("physics", "d"): "10.0",
-    ("geometry", "L"): "10",
-    ("geometry", "D"): "",
-    ("geometry", "offset"): "0.0",
-    ("numerics", "nodes"): "2048",
-    ("numerics", "tolerance"): "1e-8",
-    ("numerics", "t_start"): "-100.0",
-    ("numerics", "t_stop"): "100.0",
-    ("numerics", "t_step"): "0.25",
-    ("numerics", "peak_floor"): "1e-6",
-    ("numerics", "curve_samples"): "512",
-    ("output", "directory"): ".",
-    ("output", "format"): "csv",
-}
-
-# where a scenario departs from the base defaults (custom does not)
-_SCENARIO_DEFAULTS = {
-    "fig1_filter": {("geometry", "L"): "0, 5, 10, 20, 50"},
-    "fig2_peaks": {
-        ("geometry", "L"): "10, 15, 20, 25, 30",
-        ("numerics", "tolerance"): "1e-14",
-        ("numerics", "peak_floor"): "1e-13",
-    },
-    "fig3_times": {
-        ("geometry", "L"): ", ".join(str(w) for w in range(4, 101, 4)),
-    },
-    "fig4_transit": {
-        ("geometry", "L"): "0, 10, 20, 30",
-        ("geometry", "D"): "40",
-        ("numerics", "t_stop"): "200.0",
-    },
-    "table1": {
-        ("geometry", "L"): "10, 15, 20, 25, 30, 40, 50, 75, 100",
-        ("numerics", "tolerance"): "1e-14",
-        ("numerics", "peak_floor"): "1e-13",
-    },
-}
-
-_VALID_KEYS = frozenset(_BASE_DEFAULTS)
-
-
 def parse_config_text(text: str) -> dict[tuple[str, str], tuple[str, int]]:
     """Parse the flat sectioned key-value format.
 
@@ -217,6 +172,36 @@ def _parse_float_list(section, key, value, line):
     return tuple(_parse_float(section, key, part, line) for part in items)
 
 
+def _parse_text(section, key, value, line):
+    return value
+
+
+def _parse_choice(section, key, value, line):
+    return value.strip().lower()
+
+
+# Every config key: (section, key) -> (field of the section's dataclass,
+# default, parser).  Values are parsed, and errors reported, in this order.
+_KEYS = {
+    ("physics", "v0"): ("v0", "1.0", _parse_float),
+    ("physics", "mass"): ("mass", "1.0", _parse_float),
+    ("physics", "p0"): ("p0", repr(math.sqrt(3.0) / 2.0), _parse_float),
+    ("physics", "d"): ("d", "10.0", _parse_float),
+    ("geometry", "L"): ("widths", "10", _parse_float_list),
+    ("geometry", "D"): ("detectors", "", _parse_float_list),
+    ("geometry", "offset"): ("offset", "0.0", _parse_float),
+    ("numerics", "nodes"): ("nodes", "2048", _parse_int),
+    ("numerics", "tolerance"): ("tolerance", "1e-8", _parse_float),
+    ("numerics", "t_start"): ("t_start", "-100.0", _parse_float),
+    ("numerics", "t_stop"): ("t_stop", "100.0", _parse_float),
+    ("numerics", "t_step"): ("t_step", "0.25", _parse_float),
+    ("numerics", "peak_floor"): ("peak_floor", "1e-6", _parse_float),
+    ("numerics", "curve_samples"): ("curve_samples", "512", _parse_int),
+    ("output", "directory"): ("directory", ".", _parse_text),
+    ("output", "format"): ("format", "csv", _parse_choice),
+}
+
+
 def validate_config(
     raw: dict[tuple[str, str], tuple[str, int]],
     scenario: str,
@@ -233,57 +218,36 @@ def validate_config(
         raise ConfigError(f"unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}")
 
     merged: dict[tuple[str, str], tuple[str, int | None]] = {
-        path: (value, None) for path, value in _BASE_DEFAULTS.items()
+        path: (default, None) for path, (_, default, _) in _KEYS.items()
     }
-    overridden = _SCENARIO_DEFAULTS.get(scenario, {})
-    merged.update({path: (value, None) for path, value in overridden.items()})
+    merged.update({path: (value, None) for path, value in _SCENARIOS[scenario][1].items()})
     for path, (value, line) in raw.items():
-        if path not in _VALID_KEYS:
+        if path not in _KEYS:
             raise ConfigError(f"unknown key {path[0]}.{path[1]}", line=line)
         merged[path] = (value, line)
     for path, value in (overrides or {}).items():
-        if path not in _VALID_KEYS:
+        if path not in _KEYS:
             raise ConfigError(f"unknown key {path[0]}.{path[1]} in --set")
         merged[path] = (value, None)
     if out_dir is not None:
         merged[("output", "directory")] = (out_dir, None)
 
-    def take(section, key, parse):
+    fields: dict[str, dict] = {}
+    for (section, key), (field, _, parse) in _KEYS.items():
         value, line = merged[(section, key)]
-        return parse(section, key, value, line)
-
-    physics = PhysicsParams(
-        v0=take("physics", "v0", _parse_float),
-        mass=take("physics", "mass", _parse_float),
-        p0=take("physics", "p0", _parse_float),
-        d=take("physics", "d", _parse_float),
+        fields.setdefault(section, {})[field] = parse(section, key, value, line)
+    config = ScenarioConfig(
+        scenario=scenario,
+        physics=PhysicsParams(**fields["physics"]),
+        geometry=GeometryParams(**fields["geometry"]),
+        numerics=NumericsParams(**fields["numerics"]),
+        output=OutputParams(**fields["output"]),
     )
-    geometry = GeometryParams(
-        widths=take("geometry", "L", _parse_float_list),
-        detectors=take("geometry", "D", _parse_float_list),
-        offset=take("geometry", "offset", _parse_float),
-    )
-    numerics = NumericsParams(
-        nodes=take("numerics", "nodes", _parse_int),
-        tolerance=take("numerics", "tolerance", _parse_float),
-        t_start=take("numerics", "t_start", _parse_float),
-        t_stop=take("numerics", "t_stop", _parse_float),
-        t_step=take("numerics", "t_step", _parse_float),
-        peak_floor=take("numerics", "peak_floor", _parse_float),
-        curve_samples=take("numerics", "curve_samples", _parse_int),
-    )
-    output = OutputParams(
-        directory=merged[("output", "directory")][0],
-        format=merged[("output", "format")][0].strip().lower(),
-    )
+    geometry, numerics = config.geometry, config.numerics
 
     # physics bounds; barrier and packet constructors own the detailed rules
     try:
-        probe = BarrierConfig(
-            v0=physics.v0, width=0.0, mass=physics.mass, offset=geometry.offset
-        )
-        lo, hi = momentum_window(probe)
-        PacketSpec(p0=physics.p0, d=physics.d, p_min=lo, p_max=hi)
+        _packet(config)
     except (DiracTunnelError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -315,6 +279,9 @@ def validate_config(
                 )
     if numerics.nodes < 64:
         raise ConfigError(f"numerics.nodes must be at least 64, got {numerics.nodes}")
+    # the quadrature is built from whole 64-point panels
+    if numerics.nodes % 64:
+        raise ConfigError(f"numerics.nodes must be a multiple of 64, got {numerics.nodes}")
     # every scenario but the filter curves runs the convergence gate, which
     # must be able to double the start rule at least once
     if scenario != "fig1_filter" and numerics.nodes > MAX_NODES // 2:
@@ -334,16 +301,9 @@ def validate_config(
         raise ConfigError(f"numerics.peak_floor must lie in (0, 1], got {numerics.peak_floor}")
     if numerics.curve_samples < 2:
         raise ConfigError(f"numerics.curve_samples must be at least 2, got {numerics.curve_samples}")
-    if output.format not in ("csv", "json"):
-        raise ConfigError(f"output.format must be csv or json, got {output.format!r}")
-
-    return ScenarioConfig(
-        scenario=scenario,
-        physics=physics,
-        geometry=geometry,
-        numerics=numerics,
-        output=output,
-    )
+    if config.output.format not in ("csv", "json"):
+        raise ConfigError(f"output.format must be csv or json, got {config.output.format!r}")
+    return config
 
 
 # -- output plumbing ---------------------------------------------------------
@@ -464,8 +424,7 @@ def _barrier(config: ScenarioConfig, width: float) -> BarrierConfig:
 
 def _packet(config: ScenarioConfig) -> PacketSpec:
     p = config.physics
-    lo, hi = momentum_window(_barrier(config, 0.0))
-    return PacketSpec(p0=p.p0, d=p.d, p_min=lo, p_max=hi)
+    return PacketSpec.for_barrier(_barrier(config, 0.0), p0=p.p0, d=p.d)
 
 
 def _filter(config, emitter, spec, scan):
@@ -571,18 +530,39 @@ def _transit(config, emitter, spec, scan):
     )
 
 
-# The steps of each scenario in run order, each called as
-# step(config, emitter, spec, scan); the keys are the scenario names.
-_STEPS = {
-    "fig1_filter": (_filter,),
-    "fig2_peaks": (partial(_peaks, curves=True),),
-    "fig3_times": (_times,),
-    "fig4_transit": (_transit,),
-    "table1": (_peaks,),
-    "custom": (_peaks, _filter, _transit),
+# Every scenario: name -> (its steps in run order, each called as
+# step(config, emitter, spec, scan); where its defaults depart from _KEYS).
+_SCENARIOS = {
+    "fig1_filter": ((_filter,), {("geometry", "L"): "0, 5, 10, 20, 50"}),
+    "fig2_peaks": (
+        (partial(_peaks, curves=True),),
+        {
+            ("geometry", "L"): "10, 15, 20, 25, 30",
+            ("numerics", "tolerance"): "1e-14",
+            ("numerics", "peak_floor"): "1e-13",
+        },
+    ),
+    "fig3_times": ((_times,), {("geometry", "L"): ", ".join(str(w) for w in range(4, 101, 4))}),
+    "fig4_transit": (
+        (_transit,),
+        {
+            ("geometry", "L"): "0, 10, 20, 30",
+            ("geometry", "D"): "40",
+            ("numerics", "t_stop"): "200.0",
+        },
+    ),
+    "table1": (
+        (_peaks,),
+        {
+            ("geometry", "L"): "10, 15, 20, 25, 30, 40, 50, 75, 100",
+            ("numerics", "tolerance"): "1e-14",
+            ("numerics", "peak_floor"): "1e-13",
+        },
+    ),
+    "custom": ((_peaks, _filter, _transit), {}),
 }
 
-SCENARIOS = tuple(_STEPS)
+SCENARIOS = tuple(_SCENARIOS)
 
 
 def run_scenario(config: ScenarioConfig) -> dict:
@@ -598,7 +578,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
     n = config.numerics
     # the arguments every scan takes, whatever it measures
     scan = dict(t_range=(n.t_start, n.t_stop), step=n.t_step, nodes=n.nodes, tol=n.tolerance)
-    for step in _STEPS[config.scenario]:
+    for step in _SCENARIOS[config.scenario][0]:
         step(config, emitter, spec, scan)
 
     if config.output.format == "csv":

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -51,6 +50,7 @@ __all__ = [
 ]
 
 _PANEL = 64          # Gauss-Legendre points per panel
+_PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL)
 _TIME_CHUNK = 512    # spacetime points per matrix block
 _EVEN_ULPS = 4       # spacing error, in ulps of max|x|, of an evenly spaced axis
 # Node ceiling of the convergence gate; a start rule above half of it
@@ -142,20 +142,14 @@ def momentum_weight(p, spec: PacketSpec):
     return out
 
 
-@cache
-def _panel_rule(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-
 def _composite_rule(lo: float, hi: float, nodes: int):
     """Composite Gauss-Legendre rule with ~nodes points in panels of 64."""
     panels = max(1, round(nodes / _PANEL))
-    xs, ws = _panel_rule(_PANEL)
     edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    p = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
-    w = (half[:, None] * ws[None, :]).ravel()
+    p = (mid[:, None] + half[:, None] * _PANEL_NODES[None, :]).ravel()
+    w = (half[:, None] * _PANEL_WEIGHTS[None, :]).ravel()
     return p, w
 
 
@@ -318,14 +312,14 @@ def converged_integrator(
     t: float,
     tol: float = 1e-8,
     nodes: int = 2048,
-    max_nodes: int = MAX_NODES,
 ) -> PacketIntegrator:
     """Double the node count until the probe density stabilizes.
 
     The density at the probe point ``(z, t)`` is compared between
     consecutive rules; once the relative change drops below ``tol`` the
-    finer rule is returned.  If ``max_nodes`` is exhausted first a
-    :class:`ConvergenceError` carrying the last estimate is raised.
+    finer rule is returned.  If the ceiling of ``MAX_NODES`` nodes is
+    reached first a :class:`ConvergenceError` carrying the last estimate
+    is raised.
 
     Before any finer rule is built, the relative rounding floor of the
     start rule's probe density is estimated as
@@ -353,7 +347,7 @@ def converged_integrator(
                 estimate=d_prev,
             )
     n = nodes
-    while n * 2 <= max_nodes:
+    while n * 2 <= MAX_NODES:
         n *= 2
         finer = PacketIntegrator(spec, cfg, nodes=n)
         d_next = float(finer.density(z, [t])[0])
@@ -363,6 +357,6 @@ def converged_integrator(
         d_prev = d_next
     raise ConvergenceError(
         f"density at probe (z={z}, t={t}) did not stabilize to {tol:g} "
-        f"within {max_nodes} quadrature nodes",
+        f"within {MAX_NODES} quadrature nodes",
         estimate=d_prev,
     )

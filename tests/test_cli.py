@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -71,6 +72,36 @@ class TestParseConfigText:
     def test_empty_key(self):
         with pytest.raises(ConfigError):
             parse_config_text("[physics]\n= 1\n")
+
+
+# one valid value per config key, unlike its default for `custom`, with the
+# field of its section it must set and the value that field must then hold
+KEY_FIELDS = {
+    ("physics", "v0"): ("1.2", "v0", 1.2),
+    ("physics", "mass"): ("0.9", "mass", 0.9),
+    ("physics", "p0"): ("0.8", "p0", 0.8),
+    ("physics", "d"): ("12", "d", 12.0),
+    ("geometry", "L"): ("5, 7", "widths", (5.0, 7.0)),
+    ("geometry", "D"): ("40", "detectors", (40.0,)),
+    ("geometry", "offset"): ("1.5", "offset", 1.5),
+    ("numerics", "nodes"): ("1024", "nodes", 1024),
+    ("numerics", "tolerance"): ("1e-9", "tolerance", 1e-9),
+    ("numerics", "t_start"): ("-90", "t_start", -90.0),
+    ("numerics", "t_stop"): ("90", "t_stop", 90.0),
+    ("numerics", "t_step"): ("0.5", "t_step", 0.5),
+    ("numerics", "peak_floor"): ("1e-5", "peak_floor", 1e-5),
+    ("numerics", "curve_samples"): ("256", "curve_samples", 256),
+    ("output", "directory"): ("elsewhere", "directory", "elsewhere"),
+    ("output", "format"): ("JSON", "format", "json"),
+}
+
+
+def config_fields(config) -> dict:
+    """``{(section, field): value}`` over the four sections of a ScenarioConfig."""
+    sections = dataclasses.asdict(config)
+    del sections["scenario"]
+    return {(section, name): value
+            for section, params in sections.items() for name, value in params.items()}
 
 
 class TestValidateConfig:
@@ -156,6 +187,7 @@ class TestValidateConfig:
         "[geometry]\nL = -5\n",
         "[geometry]\nD = 5\n",          # before the downstream face at 10
         "[numerics]\nnodes = 10\n",
+        "[numerics]\nnodes = 100\n",       # not whole 64-point panels
         "[numerics]\ntolerance = 0\n",
         "[numerics]\ntolerance = 2\n",
         "[numerics]\nt_start = 5\nt_stop = 5\n",
@@ -171,6 +203,19 @@ class TestValidateConfig:
         raw = parse_config_text(text)
         with pytest.raises(ConfigError):
             validate_config(raw, "custom")
+
+    @pytest.mark.parametrize("path", list(KEY_FIELDS), ids=".".join)
+    def test_each_key_sets_only_its_own_field(self, path):
+        value, field, expected = KEY_FIELDS[path]
+        base = config_fields(validate_config({}, "custom"))
+        changed = config_fields(validate_config({}, "custom", overrides={path: value}))
+        assert [name for name in base if base[name] != changed[name]] == [(path[0], field)]
+        assert changed[(path[0], field)] == expected
+
+    def test_every_field_has_a_key(self):
+        fields = config_fields(validate_config({}, "custom"))
+        keyed = [(path[0], field) for path, (_, field, _) in KEY_FIELDS.items()]
+        assert sorted(fields) == sorted(keyed)
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_shared_width_tag_matters_only_for_per_width_files(self, scenario):

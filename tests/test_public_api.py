@@ -87,6 +87,7 @@ def test_removed_knobs_are_gone():
     for fn in (scan_peaks, numeric_tunneling_time, transit_measure):
         assert "refine_tol" not in inspect.signature(fn).parameters
     assert "mass" not in inspect.signature(PacketIntegrator.__init__).parameters
+    assert "max_nodes" not in inspect.signature(converged_integrator).parameters
 
 
 # The benchmark's tracer (perfbench/tracer.py) replaces these names with

@@ -271,9 +271,7 @@ class TestConvergence:
 
     def test_unreachable_tolerance_raises_with_estimate(self):
         with pytest.raises(ConvergenceError) as excinfo:
-            converged_integrator(
-                SPEC, barrier(10.0), z=10.0, t=2.0, tol=1e-30, max_nodes=8192
-            )
+            converged_integrator(SPEC, barrier(10.0), z=10.0, t=2.0, tol=1e-30)
         estimate = excinfo.value.estimate
         assert estimate == pytest.approx(2.29544239794700562e-08, rel=1e-6)
 
@@ -290,10 +288,19 @@ class TestConvergence:
         monkeypatch.setattr(wavepacket, "PacketIntegrator", spy)
         with pytest.raises(ConvergenceError, match="rounding floor") as excinfo:
             converged_integrator(
-                SPEC, barrier(10.0), z=10.0, t=2.0, tol=1e-30,
-                nodes=2048, max_nodes=4096,
+                SPEC, barrier(10.0), z=10.0, t=2.0, tol=1e-30, nodes=2048,
             )
         # no finer rule was built, so no comparison of two rules decided it
         assert built == [2048]
         estimate = excinfo.value.estimate
         assert estimate == pytest.approx(2.29544239794700562e-08, rel=1e-6)
+
+    def test_ceiling_exhausted_raises_with_estimate(self, monkeypatch):
+        # tol 1e-14 sits above the probe's rounding floor, but the
+        # 2048 -> 4096 relative change is 2.9e-14, so a 4096-node ceiling
+        # runs out before the rules agree
+        monkeypatch.setattr(wavepacket, "MAX_NODES", 4096)
+        message = "did not stabilize to 1e-14 within 4096"
+        with pytest.raises(ConvergenceError, match=message) as excinfo:
+            converged_integrator(SPEC, barrier(30.0), z=30.0, t=3.25, tol=1e-14)
+        assert excinfo.value.estimate == pytest.approx(2.0959707656606323e-22, rel=1e-6)
