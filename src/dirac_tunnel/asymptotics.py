@@ -117,15 +117,14 @@ def moment_s(n: int, width: float, mass: float = 1.0, mode: str = "exact") -> fl
     return head / width ** (n + 1)
 
 
-def _moments(orders, width, mass, mode):
-    return {n: moment_s(n, width, mass, mode) for n in orders}
+def _moments(width, coeffs, mode):
+    return {n: moment_s(n, width, 1.0 / (2.0 * coeffs.a2), mode) for n in (2, 3, 4, 5, 6)}
 
 
 def peak_functional(
     t,
     width: float,
     coeffs: SeriesCoefficients,
-    mass: float = 1.0,
     mode: str = "exact",
 ):
     """Density envelope of the emerging peak at the downstream face.
@@ -136,10 +135,11 @@ def peak_functional(
         P(t) = | s2 - [(a2 t)^2 s6 + a1^2 s4] / 2 + a1 a2 t s5
                  + i (a2 t s4 - a1 s3) |^2.
 
-    Scalar or array ``t``.  The absolute scale is arbitrary; only the
+    Scalar or array ``t``; the mass of the moments is recovered from
+    ``coeffs.a2 = 1 / (2 mass)``.  The absolute scale is arbitrary; only the
     position of the maximum carries physics.
     """
-    s = _moments((2, 3, 4, 5, 6), width, mass, mode)
+    s = _moments(width, coeffs, mode)
     a1, a2 = coeffs.a1, coeffs.a2
     t_arr = np.asarray(t, dtype=float)
     real = (
@@ -154,10 +154,10 @@ def peak_functional(
     return out
 
 
-def _expansion_coefficients(width, coeffs, mass, mode):
+def _expansion_coefficients(width, coeffs, mode):
     """(c0, c1, c2) of P(t) ~ c0 + c1 t + c2 t^2, consistently quadratic in
     the small parameters a1 and a2 t."""
-    s = _moments((2, 3, 4, 5, 6), width, mass, mode)
+    s = _moments(width, coeffs, mode)
     a1, a2 = coeffs.a1, coeffs.a2
     c0 = s[2] * s[2] + a1 * a1 * (s[3] * s[3] - s[2] * s[4])
     c1 = 2.0 * a1 * a2 * (s[2] * s[5] - s[3] * s[4])
@@ -181,8 +181,7 @@ def opaque_tunneling_time(
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    mass = 1.0 / (2.0 * coeffs.a2)
-    _, c1, c2 = _expansion_coefficients(width, coeffs, mass, mode)
+    _, c1, c2 = _expansion_coefficients(width, coeffs, mode)
     tau = -c1 / (2.0 * c2)
     return OpaqueSolution(tau=tau, v=9.0 * coeffs.a2 / coeffs.a1)
 
@@ -199,7 +198,6 @@ def opaque_tunneling_velocity(cfg: BarrierConfig) -> float:
 def maximize_peak_functional(
     width: float,
     coeffs: SeriesCoefficients,
-    mass: float = 1.0,
     mode: str = "exact",
     bracket: tuple[float, float] | None = None,
     tol: float = 1e-10,
@@ -218,7 +216,7 @@ def maximize_peak_functional(
         raise ValueError(f"empty bracket {bracket}")
 
     def value(t):
-        return peak_functional(t, width, coeffs, mass=mass, mode=mode)
+        return peak_functional(t, width, coeffs, mode=mode)
 
     # Golden-section search for the maximum; the functional is unimodal on
     # the bracket (a single emerging peak).

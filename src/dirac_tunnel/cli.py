@@ -277,11 +277,9 @@ def validate_config(
                     f"geometry.D: detector {det} sits before the downstream "
                     f"barrier face at {needed}"
                 )
-    if numerics.nodes < 64:
-        raise ConfigError(f"numerics.nodes must be at least 64, got {numerics.nodes}")
     # the quadrature is built from whole 64-point panels
-    if numerics.nodes % 64:
-        raise ConfigError(f"numerics.nodes must be a multiple of 64, got {numerics.nodes}")
+    if numerics.nodes < 64 or numerics.nodes % 64:
+        raise ConfigError(f"numerics.nodes must be a positive multiple of 64, got {numerics.nodes}")
     # every scenario but the filter curves runs the convergence gate, which
     # must be able to double the start rule at least once
     if scenario != "fig1_filter" and numerics.nodes > MAX_NODES // 2:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import BarrierConfig
-from .wavepacket import PacketSpec, PacketIntegrator, converged_integrator
+from .wavepacket import MAX_NODES, PacketSpec, PacketIntegrator, converged_integrator
 
 __all__ = [
     "PeakKind",
@@ -34,10 +34,6 @@ __all__ = [
     "transit_measure",
     "superluminal_detector_bound",
 ]
-
-# time spacing at which parabolic refinement of an extremum stops
-_REFINE_TOL = 1e-3
-
 
 class PeakKind(enum.Enum):
     CENTRAL_MAX = "central_max"
@@ -68,24 +64,25 @@ class TransitReport:
     superluminal: bool
 
 
-def _refine_extremum(evaluate, t0: float, step: float, tol: float) -> float:
-    """Iterated three-point parabolic refinement of an extremum position.
+def _extremum(eng: PacketIntegrator, z: float, t: float, step: float) -> tuple[float, float]:
+    """(time, density) of the extremum near grid point ``t``, by Newton on d|psi|^2/dt.
 
-    The vertex formula is sign-independent, so the same loop serves maxima
-    and minima.  Each round halves the probe spacing; shifts are clamped to
-    one spacing so a flat or noisy triple cannot throw the iterate out of
-    the bracket.
+    Iterates are clamped to ``[t - step, t + step]``; the loop stops at the
+    first step no smaller than the one before (or zero), so steps strictly
+    decrease and no tolerance is needed.  A root of the derivative is a
+    maximum or a minimum alike, so one loop serves both.
     """
-    t = float(t0)
-    dt = float(step)
-    while dt > tol:
-        va, vb, vc = evaluate(np.array([t - dt, t, t + dt]))
-        denom = va - 2.0 * vb + vc
-        if denom != 0.0:
-            shift = 0.5 * dt * (va - vc) / denom
-            t += float(np.clip(shift, -dt, dt))
-        dt *= 0.5
-    return t
+    lo, hi = t - step, t + step
+    density, first, second = eng.density_dt(z, t)
+    last = np.inf
+    while second != 0.0:
+        t_next = min(max(t - first / second, lo), hi)
+        move = abs(t_next - t)
+        if not 0.0 < move < last:
+            break
+        t, last = t_next, move
+        density, first, second = eng.density_dt(z, t)
+    return t, density
 
 
 def scan_grid(t_range: tuple[float, float], step: float) -> np.ndarray:
@@ -117,8 +114,9 @@ def scan_peaks(
     """All density extrema in time at a fixed position, sorted by time.
 
     A coarse grid (:func:`scan_grid`) with spacing ``step`` locates strict
-    local maxima, each then refined by iterated parabolic interpolation to
-    a time spacing of 1e-3.  A range too short for that grid raises
+    local maxima, each then refined by Newton's method on the density's
+    time derivative, computed from the same node table and kept within one
+    ``step`` of its grid point.  A range too short for that grid raises
     ``ValueError``.
     Maxima whose density falls below ``min_density_ratio`` times the
     central (largest) one are treated as quadrature noise and dropped; one
@@ -139,9 +137,13 @@ def scan_peaks(
     rule is built: two rules that agree bit for bit do not count as
     converged to it.  A probe density of exactly 0 skips that check.
 
-    Raises ``ValueError`` when the range contains no strict local maximum.
+    Raises ``ValueError`` when the range contains no strict local maximum,
+    and, before any rule is built, when ``tol`` is set and ``2 * nodes``
+    exceeds ``MAX_NODES``.
     """
     ts = scan_grid(t_range, step)
+    if tol is not None and 2 * nodes > MAX_NODES:
+        raise ValueError(f"a gated scan needs 2 * nodes <= MAX_NODES={MAX_NODES}, got {nodes}")
     eng = PacketIntegrator(spec, cfg, nodes=nodes if tol is None else 2 * nodes)
     dens = eng.density(z_eval, ts)
     if tol is not None:
@@ -151,23 +153,14 @@ def scan_peaks(
             eng = gated
             dens = eng.density(z_eval, ts)
 
-    interior = np.arange(1, ts.size - 1)
-    is_max = (dens[interior] > dens[interior - 1]) & (dens[interior] > dens[interior + 1])
-    max_idx = interior[is_max]
+    max_idx = 1 + np.flatnonzero((dens[1:-1] > dens[:-2]) & (dens[1:-1] > dens[2:]))
     if max_idx.size == 0:
         raise ValueError(
             f"no local density maximum at z={z_eval} for t in "
             f"[{float(t_range[0])}, {float(t_range[1])}]"
         )
 
-    def evaluate(t_arr):
-        return eng.density(z_eval, t_arr)
-
-    refined = []
-    for i in max_idx:
-        t_peak = _refine_extremum(evaluate, float(ts[i]), step, _REFINE_TOL)
-        refined.append((t_peak, float(evaluate(np.array([t_peak]))[0]), int(i)))
-
+    refined = [(*_extremum(eng, z_eval, float(ts[i]), step), int(i)) for i in max_idx]
     central_density = max(r[1] for r in refined)
     kept = [r for r in refined if r[1] >= min_density_ratio * central_density]
     kept.sort(key=lambda r: r[0])
@@ -177,23 +170,15 @@ def scan_peaks(
         kind = PeakKind.CENTRAL_MAX if d_peak == central_density else PeakKind.SECONDARY_MAX
         records.append(PeakRecord(time=t_peak, density=d_peak, kind=kind))
 
-    # One minimum between each adjacent pair of surviving maxima.
+    # One minimum between each adjacent pair of surviving maxima; strict
+    # maxima are never adjacent grid points, so hi >= lo + 2.
     for (t_a, _, i_a), (t_b, _, i_b) in zip(kept[:-1], kept[1:]):
         lo, hi = sorted((i_a, i_b))
-        if hi - lo < 2:
-            continue
-        segment = slice(lo + 1, hi)
-        j = lo + 1 + int(np.argmin(dens[segment]))
-        t_min = _refine_extremum(evaluate, float(ts[j]), step, _REFINE_TOL)
+        j = lo + 1 + int(np.argmin(dens[lo + 1 : hi]))
+        t_min, d_min = _extremum(eng, z_eval, float(ts[j]), step)
         if not t_a < t_min < t_b:
-            t_min = float(ts[j])
-        records.append(
-            PeakRecord(
-                time=t_min,
-                density=float(evaluate(np.array([t_min]))[0]),
-                kind=PeakKind.MINIMUM,
-            )
-        )
+            t_min, d_min = float(ts[j]), float(dens[j])
+        records.append(PeakRecord(time=t_min, density=d_min, kind=PeakKind.MINIMUM))
     records.sort(key=lambda r: r.time)
     return records
 
@@ -222,13 +207,7 @@ def numeric_tunneling_time(
     if not cfg.width > 0.0:
         raise ValueError("tunneling time needs a positive barrier width")
     records = scan_peaks(
-        cfg.offset + cfg.width,
-        t_range,
-        spec,
-        cfg,
-        step=step,
-        nodes=nodes,
-        tol=tol,
+        cfg.offset + cfg.width, t_range, spec, cfg, step=step, nodes=nodes, tol=tol
     )
     tau = _central_peak(records).time
     return tau, cfg.width / tau

@@ -143,8 +143,10 @@ def momentum_weight(p, spec: PacketSpec):
 
 
 def _composite_rule(lo: float, hi: float, nodes: int):
-    """Composite Gauss-Legendre rule with ~nodes points in panels of 64."""
-    panels = max(1, round(nodes / _PANEL))
+    """Composite Gauss-Legendre rule of ``nodes`` points, a positive multiple of 64."""
+    if nodes <= 0 or nodes % _PANEL:
+        raise ValueError(f"nodes must be a positive multiple of {_PANEL}, got {nodes}")
+    panels = nodes // _PANEL
     edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -209,10 +211,10 @@ class PacketIntegrator:
     # -- core evaluation ---------------------------------------------------
 
     def _sum_over_nodes(self, fixed, rows, cols):
-        """Both rows of ``fixed @ exp(rows x cols)``, by a factorized phase block.
+        """Every row of ``fixed @ exp(rows x cols)``, by a factorized phase block.
 
-        ``fixed`` stacks the two coefficient rows (shape ``(2, N)``); the
-        result has shape ``(2, K)`` for the ``K`` points of ``cols``.  On an
+        ``fixed`` stacks R coefficient rows (shape ``(R, N)``); the result
+        has shape ``(R, K)`` for the ``K`` points of ``cols``.  On an
         evenly spaced axis ``x_k = x_0 + k h`` the phase splits at the fine
         block length ``b`` (:func:`_fine_offsets`) as
         ``exp(r x_{ab+j}) = exp(r x_{ab}) exp(r j h)``: the fine block
@@ -229,13 +231,13 @@ class PacketIntegrator:
         b = offsets.size
         weighted = fixed[:, :, None] * np.exp(rows[:, None] * offsets[None, :])
         starts = cols[::b]
-        out = np.empty((2, starts.size, b), dtype=complex)
+        out = np.empty((fixed.shape[0], starts.size, b), dtype=complex)
         width = _TIME_CHUNK // b
         for i in range(0, starts.size, width):
             sl = slice(i, i + width)
             coarse = np.exp(rows[:, None] * starts[None, sl])
             out[:, sl] = coarse.T @ weighted
-        return out.reshape(2, -1)[:, : cols.size]
+        return out.reshape(fixed.shape[0], -1)[:, : cols.size]
 
     def amplitudes(self, z: float, ts):
         """Large and small component amplitudes at position z over times ts."""
@@ -247,6 +249,22 @@ class PacketIntegrator:
     def density(self, z: float, ts):
         """|psi|^2 at position z for each time in ts."""
         return _modulus2(*self.amplitudes(z, ts))
+
+    def density_dt(self, z: float, t: float) -> tuple[float, float, float]:
+        """|psi|^2 and its first two time derivatives at one point (z, t).
+
+        The two coefficient rows, stacked with their ``-i E`` and ``-E^2``
+        multiples (d/dt of ``exp(-i E t)``), give g, f, g', f', g'', f'' in
+        one contraction; d|psi|^2/dt = 2 Re(g* g' + f* f') and
+        d^2|psi|^2/dt^2 = 2 Re(g* g'' + f* f'') + 2 (|g'|^2 + |f'|^2).
+        """
+        rates = -1j * self.energy
+        fixed = self._coef * np.exp(1j * self.p * float(z))
+        stacked = np.concatenate((fixed, fixed * rates, fixed * rates**2))
+        sums = self._sum_over_nodes(stacked, rates, np.array([float(t)]))
+        a0, a1, a2 = self._scale * sums.reshape(3, 2)
+        first, second = np.vdot(a0, a1).real, np.vdot(a0, a2).real + np.vdot(a1, a1).real
+        return float(_modulus2(*a0)), 2.0 * float(first), 2.0 * float(second)
 
     def density_z(self, zs, t: float):
         """|psi|^2 on a position grid at one time."""
@@ -332,7 +350,12 @@ def converged_integrator(
     rules that agree bit for bit is never taken as convergence to such a
     tolerance.  A start density of exactly 0 has no relative floor: the
     check is skipped and the doubling loop handles it as before.
+
+    A start rule that cannot be doubled (``2 * nodes > MAX_NODES``) raises
+    ``ValueError`` before any rule is built.
     """
+    if 2 * nodes > MAX_NODES:
+        raise ValueError(f"the gate needs 2 * nodes <= MAX_NODES={MAX_NODES}, got {nodes}")
     start = PacketIntegrator(spec, cfg, nodes=nodes)
     g, f = start.amplitudes(z, [t])
     d_prev = float(_modulus2(g, f)[0])

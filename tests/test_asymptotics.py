@@ -142,6 +142,18 @@ class TestPeakFunctional:
         ts = np.linspace(0.0, 40.0, 200)
         assert np.all(peak_functional(ts, 15.0, CANON) > 0.0)
 
+    def test_nonunit_mass_recovered_from_a2(self):
+        coeffs = series_coefficients(BarrierConfig(v0=4.0, width=1.0, mass=2.0))
+        ts = np.linspace(0.0, 20.0, 41)
+        # rebuild the functional with the mass spelled out explicitly
+        s = {n: moment_s(n, 30.0, mass=2.0) for n in (2, 3, 4, 5, 6)}
+        a1, a2 = coeffs.a1, coeffs.a2
+        real = s[2] - ((a2 * ts) ** 2 * s[6] + a1 * a1 * s[4]) / 2.0 + a1 * a2 * ts * s[5]
+        imag = a2 * ts * s[4] - a1 * s[3]
+        np.testing.assert_allclose(
+            peak_functional(ts, 30.0, coeffs), real * real + imag * imag, rtol=1e-13
+        )
+
 
 def _quadratic_tau(width, coeffs, mode):
     # truncate P = X^2 + Y^2 at joint second order in (a1, a2 t):

@@ -11,7 +11,9 @@ from dirac_tunnel import (
     PacketIntegrator,
     PacketSpec,
     converged_integrator,
+    maximize_peak_functional,
     numeric_tunneling_time,
+    peak_functional,
     scan_peaks,
     solve_matching,
     transit_measure,
@@ -88,6 +90,9 @@ def test_removed_knobs_are_gone():
         assert "refine_tol" not in inspect.signature(fn).parameters
     assert "mass" not in inspect.signature(PacketIntegrator.__init__).parameters
     assert "max_nodes" not in inspect.signature(converged_integrator).parameters
+    # the mass is recovered from the coefficients, a2 = 1 / (2 mass)
+    for fn in (peak_functional, maximize_peak_functional):
+        assert "mass" not in inspect.signature(fn).parameters
 
 
 # The benchmark's tracer (perfbench/tracer.py) replaces these names with

@@ -119,6 +119,28 @@ class TestScanBehavior:
         t_b = [r for r in b if r.kind is PeakKind.CENTRAL_MAX][0].time
         assert abs(t_a - t_b) <= 1e-3
 
+    def test_gated_start_above_half_the_ceiling_is_refused_before_building(self, monkeypatch):
+        built = []
+        init = PacketIntegrator.__init__
+
+        def spy(integrator, *args, **kwargs):
+            built.append(kwargs.get("nodes"))
+            init(integrator, *args, **kwargs)
+
+        monkeypatch.setattr(PacketIntegrator, "__init__", spy)
+        with pytest.raises(ValueError, match="MAX_NODES"):
+            scan_peaks(10.0, (-20.0, 20.0), SPEC, barrier(10.0), nodes=40000, tol=1e-8)
+        assert built == []
+
+    def test_refinement_lands_on_a_derivative_root(self, fringe_scan):
+        # every extremum the grid brackets is a root of d|psi|^2/dt to a
+        # small fraction of a Newton step on its own rule
+        eng = PacketIntegrator(SPEC, barrier(10.0), nodes=16384)
+        for rec in fringe_scan:
+            _, first, second = eng.density_dt(10.0, rec.time)
+            assert abs(first / second) <= 1e-6
+            assert (second < 0.0) == (rec.kind is not PeakKind.MINIMUM)
+
     def test_empty_and_short_ranges(self):
         with pytest.raises(ValueError):
             scan_peaks(10.0, (5.0, 5.0), SPEC, barrier(10.0))
@@ -158,6 +180,15 @@ class TestTunnelingTime:
         assert tau == pytest.approx(tau_ref, abs=5e-3)
         assert v == pytest.approx(v_ref, rel=5e-3)
         assert v == pytest.approx(width / tau, rel=1e-14)
+
+    def test_central_time_agrees_between_rules(self):
+        # with the gate off, two converged rules give the same emergence
+        # time; the peak fit adds no error of its own above 1e-8
+        taus = [
+            numeric_tunneling_time(SPEC, barrier(100.0), t_range=(20.0, 60.0), nodes=n, tol=None)[0]
+            for n in (16384, 32768)
+        ]
+        assert taus[0] == pytest.approx(taus[1], abs=1e-8)
 
     def test_zero_width_rejected(self):
         with pytest.raises(ValueError):

@@ -179,6 +179,57 @@ class TestFactorizedKernel:
         self.assert_close(eng.density_z(zs, 30.0), direct_density(eng, phase))
 
 
+def central_differences(eng, z, t, h):
+    """First and second time derivatives of the density by central differences."""
+    lo, mid, hi = (float(eng.density(z, [s])[0]) for s in (t - h, t, t + h))
+    return (hi - lo) / (2.0 * h), (hi - 2.0 * mid + lo) / h**2
+
+
+class TestTimeDerivatives:
+    # beside the central peak (2.05) and beside the fringe maximum at 65.21
+    # of the width-10 barrier, at its downstream face; the fringe sits 11
+    # orders of magnitude lower, so it needs the wider difference step
+    @pytest.mark.parametrize("t, h, rel", [(2.35, 1e-3, 1e-6), (65.5, 1e-2, 1e-4)])
+    def test_match_central_differences(self, t, h, rel):
+        eng = PacketIntegrator(SPEC, barrier(10.0), nodes=16384)
+        density, first, second = eng.density_dt(10.0, t)
+        assert density == pytest.approx(float(eng.density(10.0, [t])[0]), rel=1e-14)
+        fd_first, fd_second = central_differences(eng, 10.0, t, h)
+        assert first == pytest.approx(fd_first, rel=rel)
+        assert second == pytest.approx(fd_second, rel=rel)
+
+    def test_free_packet_derivatives(self):
+        eng = PacketIntegrator(SPEC, None)
+        density, first, second = eng.density_dt(5.0, 3.0)
+        fd_first, fd_second = central_differences(eng, 5.0, 3.0, 1e-3)
+        assert density > 0.0
+        assert first == pytest.approx(fd_first, rel=1e-6)
+        assert second == pytest.approx(fd_second, rel=1e-5)
+
+
+class TestNodePolicy:
+    @pytest.mark.parametrize("nodes", [100, 0, -64, 1])
+    def test_rule_needs_whole_panels(self, nodes):
+        with pytest.raises(ValueError, match="positive multiple of 64"):
+            PacketIntegrator(SPEC, barrier(10.0), nodes=nodes)
+
+    def test_whole_panels_are_kept(self):
+        assert PacketIntegrator(SPEC, barrier(10.0), nodes=192).nodes == 192
+
+    def test_gate_refuses_an_undoublable_start_before_building(self, monkeypatch):
+        built = []
+        init = PacketIntegrator.__init__
+
+        def spy(integrator, *args, **kwargs):
+            built.append(kwargs.get("nodes"))
+            init(integrator, *args, **kwargs)
+
+        monkeypatch.setattr(PacketIntegrator, "__init__", spy)
+        with pytest.raises(ValueError, match="MAX_NODES"):
+            converged_integrator(SPEC, barrier(10.0), z=10.0, t=2.0, nodes=40000)
+        assert built == []
+
+
 class TestFilteredDistributions:
     def test_component_relation(self):
         cfg = barrier(10.0)
