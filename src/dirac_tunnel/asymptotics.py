@@ -200,7 +200,6 @@ def maximize_peak_functional(
     coeffs: SeriesCoefficients,
     mode: str = "exact",
     bracket: tuple[float, float] | None = None,
-    tol: float = 1e-10,
 ) -> float:
     """Locate the maximum of the full peak functional by golden section.
 
@@ -218,12 +217,14 @@ def maximize_peak_functional(
     def value(t):
         return peak_functional(t, width, coeffs, mode=mode)
 
-    # Golden-section search for the maximum; the functional is unimodal on
-    # the bracket (a single emerging peak).
+    # Golden section on the unimodal functional (a single emerging peak),
+    # stopped at the first step that does not shrink the bracket.
     left = hi - _INVPHI * (hi - lo)
     right = lo + _INVPHI * (hi - lo)
     f_left, f_right = value(left), value(right)
-    while hi - lo > tol * max(1.0, abs(lo) + abs(hi)):
+    span = math.inf
+    while hi - lo < span:
+        span = hi - lo
         if f_left < f_right:
             lo, left, f_left = left, right, f_right
             right = lo + _INVPHI * (hi - lo)

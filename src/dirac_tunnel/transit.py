@@ -64,34 +64,41 @@ class TransitReport:
     superluminal: bool
 
 
-def _extremum(eng: PacketIntegrator, z: float, t: float, step: float) -> tuple[float, float]:
-    """(time, density) of the extremum near grid point ``t``, by Newton on d|psi|^2/dt.
+def _extremum(eng: PacketIntegrator, z: float, ts: np.ndarray, step: float):
+    """(times, densities) of the extrema near grid times ``ts``, by Newton on d|psi|^2/dt.
 
-    Iterates are clamped to ``[t - step, t + step]``; the loop stops at the
-    first step no smaller than the one before (or zero), so steps strictly
-    decrease and no tolerance is needed.  A root of the derivative is a
-    maximum or a minimum alike, so one loop serves both.
+    All extrema are refined together, one ``density_dt`` call per round on
+    those still moving.  Iterates are clamped to one ``step`` around their
+    grid times; an extremum stops at its first step no smaller than the one
+    before (or zero), so steps strictly decrease and no tolerance is needed.
+    A root of the derivative is a maximum or a minimum alike.
     """
-    lo, hi = t - step, t + step
+    t = ts.astype(float)
     density, first, second = eng.density_dt(z, t)
-    last = np.inf
-    while second != 0.0:
-        t_next = min(max(t - first / second, lo), hi)
-        move = abs(t_next - t)
-        if not 0.0 < move < last:
-            break
-        t, last = t_next, move
-        density, first, second = eng.density_dt(z, t)
-    return t, density
+    last = np.full(t.size, np.inf)
+    moving = np.arange(t.size)
+    while True:
+        newton = np.divide(first, second, out=np.zeros_like(first), where=second != 0.0)
+        t_next = np.clip(t[moving] - newton, ts[moving] - step, ts[moving] + step)
+        move = np.abs(t_next - t[moving])
+        shrinks = (0.0 < move) & (move < last[moving])
+        moving = moving[shrinks]
+        if moving.size == 0:
+            return t, density
+        t[moving], last[moving] = t_next[shrinks], move[shrinks]
+        density[moving], first, second = eng.density_dt(z, t[moving])
 
 
 def scan_grid(t_range: tuple[float, float], step: float) -> np.ndarray:
     """The coarse time grid of a scan: ``t_range`` inclusive, spaced ``step``.
 
-    Raises ``ValueError`` when the range is empty or holds fewer than three
+    Raises ``ValueError`` when the step is not positive and finite or the
+    range not finite, and when the range is empty or holds fewer than three
     grid points, too few for an interior maximum.
     """
     t_start, t_stop = float(t_range[0]), float(t_range[1])
+    if not (0.0 < step < np.inf and np.isfinite([t_start, t_stop]).all()):
+        raise ValueError(f"scan step {step} must be positive and the range {t_range} finite")
     if not t_stop > t_start:
         raise ValueError(f"empty time range {t_range}")
     ts = np.arange(t_start, t_stop + 0.5 * step, step)
@@ -114,13 +121,14 @@ def scan_peaks(
     """All density extrema in time at a fixed position, sorted by time.
 
     A coarse grid (:func:`scan_grid`) with spacing ``step`` locates strict
-    local maxima, each then refined by Newton's method on the density's
-    time derivative, computed from the same node table and kept within one
-    ``step`` of its grid point.  A range too short for that grid raises
-    ``ValueError``.
-    Maxima whose density falls below ``min_density_ratio`` times the
-    central (largest) one are treated as quadrature noise and dropped; one
-    minimum is reported between each adjacent pair of surviving maxima.
+    local maxima.  The floor applies to grid densities, before refinement:
+    maxima below ``min_density_ratio`` (in (0, 1], else ``ValueError``)
+    times the largest grid maximum, the central peak, are dropped as
+    quadrature noise, and one grid minimum is taken between each adjacent
+    pair of kept maxima.  These extrema are refined together by Newton's
+    method on the density's time derivative from the same node table, each
+    within one ``step`` of its grid point.  A range too short for that grid
+    raises ``ValueError``.
 
     ``tol`` switches on the quadrature convergence gate: the node count is
     doubled until the density at the coarse global maximum is stable to
@@ -142,6 +150,8 @@ def scan_peaks(
     exceeds ``MAX_NODES``.
     """
     ts = scan_grid(t_range, step)
+    if not 0.0 < min_density_ratio <= 1.0:
+        raise ValueError(f"min_density_ratio must lie in (0, 1], got {min_density_ratio}")
     if tol is not None and 2 * nodes > MAX_NODES:
         raise ValueError(f"a gated scan needs 2 * nodes <= MAX_NODES={MAX_NODES}, got {nodes}")
     eng = PacketIntegrator(spec, cfg, nodes=nodes if tol is None else 2 * nodes)
@@ -160,34 +170,22 @@ def scan_peaks(
             f"[{float(t_range[0])}, {float(t_range[1])}]"
         )
 
-    refined = [(*_extremum(eng, z_eval, float(ts[i]), step), int(i)) for i in max_idx]
-    central_density = max(r[1] for r in refined)
-    kept = [r for r in refined if r[1] >= min_density_ratio * central_density]
-    kept.sort(key=lambda r: r[0])
+    central = max_idx[np.argmax(dens[max_idx])]
+    kept = max_idx[dens[max_idx] >= min_density_ratio * dens[central]]
+    # kept maxima at the even places of idx, a grid minimum between each pair
+    lows = [a + 1 + int(np.argmin(dens[a + 1 : b])) for a, b in zip(kept[:-1], kept[1:])]
+    idx = np.insert(kept, np.arange(1, kept.size), lows)
+    times, values = _extremum(eng, z_eval, ts[idx], step)
 
     records = []
-    for t_peak, d_peak, _ in kept:
-        kind = PeakKind.CENTRAL_MAX if d_peak == central_density else PeakKind.SECONDARY_MAX
-        records.append(PeakRecord(time=t_peak, density=d_peak, kind=kind))
-
-    # One minimum between each adjacent pair of surviving maxima; strict
-    # maxima are never adjacent grid points, so hi >= lo + 2.
-    for (t_a, _, i_a), (t_b, _, i_b) in zip(kept[:-1], kept[1:]):
-        lo, hi = sorted((i_a, i_b))
-        j = lo + 1 + int(np.argmin(dens[lo + 1 : hi]))
-        t_min, d_min = _extremum(eng, z_eval, float(ts[j]), step)
-        if not t_a < t_min < t_b:
-            t_min, d_min = float(ts[j]), float(dens[j])
-        records.append(PeakRecord(time=t_min, density=d_min, kind=PeakKind.MINIMUM))
-    records.sort(key=lambda r: r.time)
+    for k, i in enumerate(idx):
+        kind = PeakKind.CENTRAL_MAX if i == central else PeakKind.SECONDARY_MAX
+        if k % 2:
+            kind = PeakKind.MINIMUM
+            if not times[k - 1] < times[k] < times[k + 1]:
+                times[k], values[k] = ts[i], dens[i]
+        records.append(PeakRecord(time=float(times[k]), density=float(values[k]), kind=kind))
     return records
-
-
-def _central_peak(records: list[PeakRecord]) -> PeakRecord:
-    for rec in records:
-        if rec.kind is PeakKind.CENTRAL_MAX:
-            return rec
-    raise ValueError("no central maximum in scan result")
 
 
 def numeric_tunneling_time(
@@ -209,7 +207,7 @@ def numeric_tunneling_time(
     records = scan_peaks(
         cfg.offset + cfg.width, t_range, spec, cfg, step=step, nodes=nodes, tol=tol
     )
-    tau = _central_peak(records).time
+    tau = next(r.time for r in records if r.kind is PeakKind.CENTRAL_MAX)
     return tau, cfg.width / tau
 
 
@@ -247,7 +245,7 @@ def transit_measure(
             f"[{cfg.offset}, {cfg.offset + cfg.width}]"
         )
     records = scan_peaks(d, t_range, spec, cfg, step=step, nodes=nodes, tol=tol)
-    central = _central_peak(records)
+    central = next(r for r in records if r.kind is PeakKind.CENTRAL_MAX)
     if not central.time > 0.0:
         raise ValueError(
             f"central peak at t={central.time} is not a forward arrival; "

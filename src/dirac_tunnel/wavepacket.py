@@ -22,8 +22,8 @@ A curve is the sum over the N nodes of the coefficients times the phase
 coarse and a fine block of about sqrt(K) columns each, the chirp-z
 factorization of Rabiner, Schafer and Rader (1969), so a curve costs about
 ``2 N sqrt(K)`` complex exps and one matrix product per chunk instead of
-``N K`` exps; other grids, and single points and triples, take the direct
-sum (see ``PacketIntegrator._sum_over_nodes``).
+``N K`` exps; other grids, and axes of fewer than four points, take the
+direct sum (see ``PacketIntegrator._sum_over_nodes``).
 """
 
 from __future__ import annotations
@@ -250,21 +250,22 @@ class PacketIntegrator:
         """|psi|^2 at position z for each time in ts."""
         return _modulus2(*self.amplitudes(z, ts))
 
-    def density_dt(self, z: float, t: float) -> tuple[float, float, float]:
-        """|psi|^2 and its first two time derivatives at one point (z, t).
+    def density_dt(self, z: float, ts):
+        """|psi|^2 and its first two time derivatives at z, as arrays over times ts.
 
         The two coefficient rows, stacked with their ``-i E`` and ``-E^2``
         multiples (d/dt of ``exp(-i E t)``), give g, f, g', f', g'', f'' in
-        one contraction; d|psi|^2/dt = 2 Re(g* g' + f* f') and
+        one contraction at every time; d|psi|^2/dt = 2 Re(g* g' + f* f') and
         d^2|psi|^2/dt^2 = 2 Re(g* g'' + f* f'') + 2 (|g'|^2 + |f'|^2).
         """
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
         rates = -1j * self.energy
         fixed = self._coef * np.exp(1j * self.p * float(z))
         stacked = np.concatenate((fixed, fixed * rates, fixed * rates**2))
-        sums = self._sum_over_nodes(stacked, rates, np.array([float(t)]))
-        a0, a1, a2 = self._scale * sums.reshape(3, 2)
-        first, second = np.vdot(a0, a1).real, np.vdot(a0, a2).real + np.vdot(a1, a1).real
-        return float(_modulus2(*a0)), 2.0 * float(first), 2.0 * float(second)
+        a0, a1, a2 = self._scale * self._sum_over_nodes(stacked, rates, ts).reshape(3, 2, -1)
+        first = (a0.conj() * a1).real.sum(axis=0)
+        second = (a0.conj() * a2).real.sum(axis=0) + _modulus2(*a1)
+        return _modulus2(*a0), 2.0 * first, 2.0 * second
 
     def density_z(self, zs, t: float):
         """|psi|^2 on a position grid at one time."""

@@ -93,6 +93,8 @@ def test_removed_knobs_are_gone():
     # the mass is recovered from the coefficients, a2 = 1 / (2 mass)
     for fn in (peak_functional, maximize_peak_functional):
         assert "mass" not in inspect.signature(fn).parameters
+    # the golden section stops when the bracket stops shrinking
+    assert "tol" not in inspect.signature(maximize_peak_functional).parameters
 
 
 # The benchmark's tracer (perfbench/tracer.py) replaces these names with

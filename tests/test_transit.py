@@ -16,6 +16,7 @@ from dirac_tunnel import (
     transit_measure,
     transit_time_predicted,
 )
+from dirac_tunnel.transit import scan_grid
 
 P0 = math.sqrt(3.0) / 2.0
 SPEC = PacketSpec(p0=P0, d=10.0, p_min=0.0, p_max=math.sqrt(3.0))
@@ -41,6 +42,19 @@ SECONDARIES_10 = [
     (89.76015925214094, 4.330887158982519e-21),
     (95.7445255593149, 3.2441656948214116e-21),
 ]
+
+
+def _spy_density_dt(monkeypatch):
+    """Record the number of times in each ``PacketIntegrator.density_dt`` call."""
+    sizes = []
+    density_dt = PacketIntegrator.density_dt
+
+    def spy(integrator, z, ts):
+        sizes.append(np.size(ts))
+        return density_dt(integrator, z, ts)
+
+    monkeypatch.setattr(PacketIntegrator, "density_dt", spy)
+    return sizes
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +164,44 @@ class TestScanBehavior:
     def test_monotone_window_has_no_maximum(self):
         with pytest.raises(ValueError):
             scan_peaks(40.0, (0.0, 1.0), SPEC, barrier(10.0))
+
+    @pytest.mark.parametrize("ratio", [math.nan, 0.0, -1.0, 2.0])
+    def test_density_floor_outside_unit_interval_is_refused(self, monkeypatch, ratio):
+        built = []
+        monkeypatch.setattr(PacketIntegrator, "__init__", lambda *a, **k: built.append(k))
+        with pytest.raises(ValueError, match="min_density_ratio"):
+            scan_peaks(10.0, (-20.0, 20.0), SPEC, barrier(10.0), min_density_ratio=ratio)
+        assert built == []
+
+    @pytest.mark.parametrize("step", [0.0, -0.25, math.nan, math.inf])
+    def test_bad_step_is_refused(self, step):
+        with pytest.raises(ValueError, match="step"):
+            scan_grid((-20.0, 20.0), step)
+
+    @pytest.mark.parametrize("t_range", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
+    def test_infinite_range_is_refused(self, t_range):
+        with pytest.raises(ValueError, match="finite"):
+            scan_grid(t_range, 0.25)
+
+    def test_reported_extrema_are_refined_together(self, monkeypatch):
+        # the first Newton round holds every reported extremum; later rounds
+        # hold only the extrema still moving
+        sizes = _spy_density_dt(monkeypatch)
+        records = scan_peaks(
+            10.0, (-100.0, 100.0), SPEC, barrier(10.0), tol=1e-14, min_density_ratio=1e-13
+        )
+        assert len(records) == 23
+        assert sizes[0] == len(records)
+        assert len(sizes) <= 10
+
+    def test_dropped_maxima_are_not_refined(self, monkeypatch):
+        # the floor is applied on the grid: only the central peak's Newton
+        # run is evaluated, one point per round
+        sizes = _spy_density_dt(monkeypatch)
+        records = scan_peaks(10.0, (-100.0, 100.0), SPEC, barrier(10.0))
+        assert [r.kind for r in records] == [PeakKind.CENTRAL_MAX]
+        assert sizes and set(sizes) == {1}
+        assert len(sizes) <= 10
 
     @pytest.mark.parametrize("width, tol, grids", [(10.0, 1e-8, [4096]), (30.0, 1e-14, [4096, 16384])])
     def test_grid_is_evaluated_once_on_the_kept_rule(self, monkeypatch, width, tol, grids):

@@ -198,6 +198,21 @@ class TestTimeDerivatives:
         assert first == pytest.approx(fd_first, rel=rel)
         assert second == pytest.approx(fd_second, rel=rel)
 
+    def test_time_axis_matches_single_points(self):
+        # An uneven axis takes the direct sum, whose rounding differs from a
+        # one-point sum.  Each time derivative brings a factor E, so the k-th
+        # output is compared on the scale max|psi|^2 E_max^k of its terms
+        # before they cancel (d2|psi|^2/dt2 cancels to below 1e-2 of it).
+        eng = PacketIntegrator(SPEC, barrier(10.0))
+        ts = np.array([-3.0, 1.9, 2.05, 2.5, 7.3])
+        together = eng.density_dt(10.0, ts)
+        alone = [eng.density_dt(10.0, t) for t in ts]
+        scale = np.max(together[0])
+        for k, values in enumerate(together):
+            assert values.shape == ts.shape
+            single = np.concatenate([a[k] for a in alone])
+            assert np.max(np.abs(values - single)) <= 1e-13 * scale * np.max(eng.energy) ** k
+
     def test_free_packet_derivatives(self):
         eng = PacketIntegrator(SPEC, None)
         density, first, second = eng.density_dt(5.0, 3.0)
