@@ -156,7 +156,7 @@ def _parse_float(section, key, value, line):
         raise ConfigError(f"{section}.{key}: not a number: {value!r}", line=line) from None
     if not math.isfinite(out):
         raise ConfigError(f"{section}.{key}: must be finite, got {value!r}", line=line)
-    return out
+    return out + 0.0  # -0 is 0: a width of -0 must not write a second file
 
 
 def _parse_int(section, key, value, line):
@@ -317,6 +317,21 @@ def _fmt_cell(value) -> str:
     return format(float(value), ".17g")
 
 
+class _Text(tuple):
+    """A column already formatted: its cells are written as they are."""
+
+
+def _fmt_column(column) -> _Text:
+    """The cells of one column as text: a float array through ``format(v, ".17g")``
+    over ``tolist()``, with no per-cell type dispatch; any other sequence cell by
+    cell through :func:`_fmt_cell`; a :class:`_Text` as it is."""
+    if isinstance(column, _Text):
+        return column
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return _Text(format(v, ".17g") for v in column.tolist())
+    return _Text(_fmt_cell(cell) for cell in column)
+
+
 class _Emitter:
     """Collects tabular outputs and writes them with checksums."""
 
@@ -335,36 +350,25 @@ class _Emitter:
         parts.append(f"nodes={self.config.numerics.nodes}")
         return " ".join(parts)
 
-    def table(self, name: str, columns: list[str], rows: list[tuple], width=None):
-        """Write one table; its comment line names ``width`` when it holds one width."""
+    def table(self, name: str, header: list[str], columns, width=None):
+        """Write the columns of one table, each formatted once by :func:`_fmt_column`;
+        with no columns (rows transposed from none) only the header is written.  The
+        comment line names ``width`` when the table holds one width."""
         comment = self._comment(width)
+        rows = zip(*map(_fmt_column, columns), strict=True)
         if self.config.output.format == "json":
-            payload = {
-                "comment": comment,
-                "columns": columns,
-                "rows": [[_fmt_cell(cell) for cell in row] for row in rows],
-            }
+            payload = {"comment": comment, "columns": header, "rows": list(map(list, rows))}
             body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-            self._write(Path(name).with_suffix(".json").name, body)
+            self.write(Path(name).with_suffix(".json").name, body)
             return
-        lines = [f"# {comment}", ",".join(columns)]
-        lines += [",".join(_fmt_cell(cell) for cell in row) for row in rows]
-        self._write(name, "\n".join(lines) + "\n")
+        # the trailing "" ends the body with a newline without copying it
+        self.write(name, "\n".join([f"# {comment}", ",".join(header), *map(",".join, rows), ""]))
 
-    def text(self, name: str, body: str):
-        self._write(name, body)
-
-    def _write(self, name: str, body: str):
-        path = self.directory / name
+    def write(self, name: str, body: str):
         data = body.encode("utf-8")
-        path.write_bytes(data)
-        self.outputs.append(
-            {
-                "file": name,
-                "sha256": hashlib.sha256(data).hexdigest(),
-                "bytes": len(data),
-            }
-        )
+        (self.directory / name).write_bytes(data)
+        digest = hashlib.sha256(data).hexdigest()
+        self.outputs.append({"file": name, "sha256": digest, "bytes": len(data)})
 
     def item(self, label: str, fn, *args, **kwargs):
         """``fn(*args, **kwargs)`` for one item of a scenario (a width, a detector).
@@ -427,25 +431,22 @@ def _packet(config: ScenarioConfig) -> PacketSpec:
 
 def _filter(config, emitter, spec, scan):
     p_axis = np.linspace(spec.p_min, spec.p_max, config.numerics.curve_samples)
-    weight = momentum_weight(p_axis, spec)
+    # the same in every width's file: formatted once per run
+    shared = [_fmt_column(p_axis), _fmt_column(momentum_weight(p_axis, spec))]
     stats_rows = []
     for width in config.geometry.widths:
         cfg = _barrier(config, width)
         g_t, f_t = filtered_distributions(p_axis, spec, cfg)
-        rows = list(zip(p_axis, weight, g_t, f_t))
         name = f"filter_L{_width_tag(width)}.csv"
-        emitter.table(name, ["p", "weight", "g_t", "f_t"], rows, width)
+        emitter.table(name, ["p", "weight", "g_t", "f_t"], [*shared, g_t, f_t], width)
         stats = emitter.item(
             f"filter_stats L={width:g}", filter_stats, spec, cfg, nodes=config.numerics.nodes
         )
         if stats is not None:
             ratio = stats.p_mean / (stats.e_mean + config.physics.mass)
             stats_rows.append((width, *dataclasses.astuple(stats), ratio))
-    emitter.table(
-        "filter_stats.csv",
-        ["L", "p_mean", "e_mean", "v_out", "transmitted_weight", "component_ratio"],
-        stats_rows,
-    )
+    stats_header = ["L", "p_mean", "e_mean", "v_out", "transmitted_weight", "component_ratio"]
+    emitter.table("filter_stats.csv", stats_header, zip(*stats_rows))
 
 
 def _peaks(config, emitter, spec, scan, curves=False):
@@ -471,8 +472,8 @@ def _peaks(config, emitter, spec, scan, curves=False):
             t_axis = scan_grid(scan["t_range"], scan["step"])
             grid = transmitted_density(z, t_axis, spec, cfg, nodes=n.nodes)
             name = f"density_L{_width_tag(width)}.csv"
-            emitter.table(name, ["t", "density"], list(zip(grid.axis, grid.values)), width)
-    emitter.table("peaks.csv", ["L", "kind", "t_peak", "density"], peak_rows)
+            emitter.table(name, ["t", "density"], [grid.axis, grid.values], width)
+    emitter.table("peaks.csv", ["L", "kind", "t_peak", "density"], zip(*peak_rows))
 
 
 def _times(config, emitter, spec, scan):
@@ -486,7 +487,7 @@ def _times(config, emitter, spec, scan):
             tau, v = measured
             opaque = opaque_tunneling_time(width, coeffs, mode="exact")
             rows.append((width, tau, v, opaque.tau, v_closed))
-    emitter.table("times.csv", ["L", "tau", "v", "tau_opaque", "v_opaque"], rows)
+    emitter.table("times.csv", ["L", "tau", "v", "tau_opaque", "v_opaque"], zip(*rows))
 
 
 def _transit(config, emitter, spec, scan):
@@ -520,12 +521,9 @@ def _transit(config, emitter, spec, scan):
             if rows is not None:
                 transit_rows.append(rows[0])
                 context_rows.append(rows[1])
-    emitter.table("transit.csv", ["D", "L", "t_dl", "v_dl", "superluminal"], transit_rows)
-    emitter.table(
-        "transit_context.csv",
-        ["D", "L", "t_predicted", "v_out", "v_tun", "d_bound"],
-        context_rows,
-    )
+    emitter.table("transit.csv", ["D", "L", "t_dl", "v_dl", "superluminal"], zip(*transit_rows))
+    context_header = ["D", "L", "t_predicted", "v_out", "v_tun", "d_bound"]
+    emitter.table("transit_context.csv", context_header, zip(*context_rows))
 
 
 # Every scenario: name -> (its steps in run order, each called as
@@ -580,7 +578,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
         step(config, emitter, spec, scan)
 
     if config.output.format == "csv":
-        emitter.text("plot.gp", _plot_stub(emitter.outputs))
+        emitter.write("plot.gp", _plot_stub(emitter.outputs))
     manifest = emitter.manifest()
     body = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     (emitter.directory / "manifest.json").write_bytes(body.encode("utf-8"))

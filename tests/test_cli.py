@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dirac_tunnel import cli
@@ -17,7 +18,12 @@ from dirac_tunnel.cli import (
     validate_config,
 )
 from dirac_tunnel.errors import ConfigError
-from dirac_tunnel.wavepacket import MAX_NODES, filter_stats
+from dirac_tunnel.wavepacket import (
+    MAX_NODES,
+    filter_stats,
+    filtered_distributions,
+    momentum_weight,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -276,6 +282,12 @@ class TestMainErrors:
         assert code == 2
         assert "error: cannot write outputs: " in capsys.readouterr().err
 
+    def test_zero_and_minus_zero_share_a_tag(self, tmp_path, capsys):
+        code = main(["run", "--scenario", "fig1_filter", "--out", str(tmp_path),
+                     "--set", "geometry.L=0, -0"])
+        assert code == 2
+        assert "would both write files tagged L0" in capsys.readouterr().err
+
     def test_unknown_cli_scenario_exits_nonzero(self, tmp_path, capsys):
         code = main(["run", "--scenario", "fig9", "--out", str(tmp_path)])
         assert code != 0
@@ -384,6 +396,123 @@ class TestJsonFormat:
         assert len(payload["rows"]) == 16
         stats = json.loads((tmp_path / "filter_stats.json").read_text())
         assert stats["columns"][0] == "L"
+
+
+def cell(value) -> str:
+    return format(float(value), ".17g")
+
+
+def read_table(path: Path, fmt: str):
+    """Comment, header and rows of a table written as CSV or JSON."""
+    if fmt == "csv":
+        comment, header, rows = read_csv(path.with_suffix(".csv"))
+        lines = [f"# {comment}", ",".join(header), *map(",".join, rows)]
+        assert path.with_suffix(".csv").read_text() == "\n".join(lines) + "\n"
+        return comment, header, rows
+    payload = json.loads(path.with_suffix(".json").read_text())
+    return payload["comment"], payload["columns"], payload["rows"]
+
+
+class TestFilterBytes:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_every_cell_is_the_library_value(self, tmp_path, fmt):
+        overrides = {("geometry", "L"): "0, 37.5", ("numerics", "curve_samples"): "64",
+                     ("output", "format"): fmt}
+        argv = ["run", "--scenario", "fig1_filter", "--out", str(tmp_path)]
+        for (section, key), value in overrides.items():
+            argv += ["--set", f"{section}.{key}={value}"]
+        assert main(argv) == 0
+        config = validate_config({}, "fig1_filter", overrides=overrides)
+        spec = cli._packet(config)
+        p_axis = np.linspace(spec.p_min, spec.p_max, 64)
+        weight = momentum_weight(p_axis, spec)
+        physics = f"V0=1 m=1 p0={cell(math.sqrt(3.0) / 2.0)} d=10 nodes=2048"
+        stats_rows = []
+        for width, tag in ((0.0, "0"), (37.5, "37p5")):
+            cfg = cli._barrier(config, width)
+            g_t, f_t = filtered_distributions(p_axis, spec, cfg)
+            comment, header, rows = read_table(tmp_path / f"filter_L{tag}", fmt)
+            assert comment == physics.replace(" p0=", f" L={cell(width)} p0=")
+            assert header == ["p", "weight", "g_t", "f_t"]
+            assert rows == [list(map(cell, row)) for row in zip(p_axis, weight, g_t, f_t)]
+            stats = filter_stats(spec, cfg, nodes=2048)
+            ratio = stats.p_mean / (stats.e_mean + 1.0)
+            stats_rows.append([cell(width), *map(cell, dataclasses.astuple(stats)), cell(ratio)])
+        comment, header, rows = read_table(tmp_path / "filter_stats", fmt)
+        assert comment == physics
+        assert header == ["L", "p_mean", "e_mean", "v_out", "transmitted_weight",
+                          "component_ratio"]
+        assert rows == stats_rows
+
+    def test_minus_zero_width_is_width_zero(self, tmp_path):
+        code = main(["run", "--scenario", "fig1_filter", "--out", str(tmp_path),
+                     "--set", "geometry.L=-0", "--set", "numerics.curve_samples=8"])
+        assert code == 0
+        assert [path.name for path in tmp_path.glob("filter_L*")] == ["filter_L0.csv"]
+        comment, _, _ = read_csv(tmp_path / "filter_L0.csv")
+        assert " L=0 " in comment
+        _, _, rows = read_csv(tmp_path / "filter_stats.csv")
+        assert [row[0] for row in rows] == ["0"]
+
+
+class TestTableCells:
+    @staticmethod
+    def emitter(tmp_path, fmt="csv"):
+        overrides = {("output", "format"): fmt}
+        return cli._Emitter(validate_config({}, "custom", overrides=overrides,
+                                            out_dir=str(tmp_path)))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_mixed_columns_follow_the_cell_rules(self, tmp_path, fmt):
+        columns = [
+            [True, False, True],
+            [np.True_, np.False_, np.bool_(True)],
+            np.array([False, True, False]),
+            [np.int64(3), np.int64(-4), 7],
+            ["central_max", "minimum", "secondary_max"],
+            np.array([-0.0, math.nan, math.inf]),
+            [-0.0, np.float64(-math.inf), np.nan],
+        ]
+        header = [f"c{i}" for i in range(len(columns))]
+        self.emitter(tmp_path, fmt).table("mixed.csv", header, columns)
+        _, got_header, rows = read_table(tmp_path / "mixed", fmt)
+        assert got_header == header
+        assert rows == [[cli._fmt_cell(column[i]) for column in columns] for i in range(3)]
+        assert rows[0] == ["1", "1", "0", "3", "central_max", "-0", "-0"]
+        assert [row[5] for row in rows] == ["-0", "nan", "inf"]
+
+    def test_rows_transposed_from_tuples(self, tmp_path):
+        rows = [(10.0, "central_max", np.float64(2.5), np.True_), (15, "minimum", 1e-300, False)]
+        self.emitter(tmp_path).table("rows.csv", ["L", "kind", "t", "flag"], zip(*rows))
+        _, _, got = read_csv(tmp_path / "rows.csv")
+        assert got == [["10", "central_max", "2.5", "1"], ["15", "minimum", cell(1e-300), "0"]]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_without_rows_keeps_its_header(self, tmp_path, fmt):
+        emitter = self.emitter(tmp_path, fmt)
+        emitter.table("empty.csv", ["L", "kind"], zip(*[]))
+        comment = emitter._comment()
+        if fmt == "csv":
+            assert (tmp_path / "empty.csv").read_text() == f"# {comment}\nL,kind\n"
+        else:
+            payload = json.loads((tmp_path / "empty.json").read_text())
+            assert payload == {"comment": comment, "columns": ["L", "kind"], "rows": []}
+
+    def test_columns_of_unequal_length_are_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            self.emitter(tmp_path).table("bad.csv", ["a", "b"], [np.zeros(2), np.zeros(3)])
+
+    def test_peaks_table_when_every_scan_fails(self, tmp_path, monkeypatch):
+        def no_peak(*args, **kwargs):
+            raise ValueError("no central peak")
+
+        monkeypatch.setattr(cli, "scan_peaks", no_peak)
+        code = main(["run", "--scenario", "table1", "--out", str(tmp_path),
+                     "--set", "geometry.L=10, 15"])
+        assert code == 3
+        comment, header, rows = read_csv(tmp_path / "peaks.csv")
+        assert header == ["L", "kind", "t_peak", "density"]
+        assert rows == []
 
 
 class TestConfigFileFlow:
