@@ -289,8 +289,6 @@ def validate_config(
         )
     if not 0.0 < numerics.tolerance < 1.0:
         raise ConfigError(f"numerics.tolerance must lie in (0, 1), got {numerics.tolerance}")
-    if not numerics.t_step > 0.0:
-        raise ConfigError(f"numerics.t_step must be positive, got {numerics.t_step}")
     try:
         scan_grid((numerics.t_start, numerics.t_stop), numerics.t_step)
     except ValueError as exc:

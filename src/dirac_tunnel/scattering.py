@@ -6,14 +6,14 @@ barrier the field is ``u(p) e^{ipz} + r u(-p) e^{-ipz}``, inside it is a
 superposition of decaying and growing evanescent modes with coefficients
 ``a_coef`` and ``b_coef``, downstream ``t_coef u(p) e^{ipz}``.
 
-All formulas here are arranged to stay numerically stable for arbitrarily
-opaque barriers: the naive elimination of the interior coefficients computes
-the transmitted amplitude as a difference of terms growing like
-``exp(rho*L)`` and loses all precision beyond ``rho*L ~ 35``.  The forms
-used below carry only ``cosh``, ``sinh(x)/x`` and, past the overflow
-threshold, explicit ``exp(-rho*L)`` factors, so they remain accurate in the
-deep opaque regime where transmitted densities underflow gracefully instead
-of degenerating into noise.
+The naive elimination of the interior coefficients computes the transmitted
+amplitude as a difference of terms growing like ``exp(rho*L)`` and loses all
+precision beyond ``rho*L ~ 35``.  The forms used below divide ``exp(rho*L)``
+out of the denominator instead, leaving only ``exp(-rho*L)`` and
+``(1 - exp(-2*rho*L)) / (2*rho)``: one expression, exact at every width, that
+is 1 at ``L = 0`` and underflows gracefully for arbitrarily opaque barriers.
+Dropping its ``exp(-2*rho*L)`` multiple-reflection terms gives the opaque
+limit.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ __all__ = [
     "solve_matching",
 ]
 
-# cosh overflows near x ~ 710; switch to the explicit exp(-x) form well
-# before, where the dropped corrections are O(exp(-2x)) ~ 1e-260.
-_OPAQUE_SWITCH = 300.0
-
 
 @dataclass(frozen=True)
 class MatchingSolution:
@@ -54,20 +50,23 @@ class MatchingSolution:
     t_coef: complex
 
 
-def _sinhc(x):
-    """sinh(x)/x, even and analytic through x = 0."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-8
-    safe = np.where(small, 1.0, x)
-    return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
+def _scaled_denominator(p, cfg: BarrierConfig):
+    """``e^{-rho L}`` and the real and imaginary parts of ``e^{-rho L} D``.
 
+    ``D = p cosh(rho L) - i (p^2 - v0 E) L sinh(rho L)/(rho L)`` is the
+    denominator of t(p); with ``q(x) = (1 - e^{-2x}) / (2x)``, ``q(0) = 1``,
 
-def _tanhc(x):
-    """tanh(x)/x, even and analytic through x = 0; saturates to 1/x."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-8
-    safe = np.where(small, 1.0, x)
-    return np.where(small, 1.0 - x * x / 3.0, np.tanh(safe) / safe)
+        e^{-rho L} D = p (1 + e^{-2 rho L}) / 2 - i (p^2 - v0 E) L q(rho L),
+
+    finite at every width.  ``p`` is a 1-d array.
+    """
+    rho = evanescent_rho(p, cfg)
+    L = float(cfg.width)
+    decay = np.exp(-rho * L)
+    # L q(rho L) = (1 - e^{-2 rho L}) / (2 rho), which is L at the edge rho = 0
+    lq = np.divide(-np.expm1(-2.0 * rho * L), 2.0 * rho, out=np.full_like(rho, L), where=rho > 0.0)
+    beta = p * p - cfg.v0 * total_energy(p, cfg.mass)
+    return decay, 0.5 * p * (1.0 + decay * decay), -beta * lq
 
 
 def transmission_amplitude(p, cfg: BarrierConfig):
@@ -75,40 +74,22 @@ def transmission_amplitude(p, cfg: BarrierConfig):
 
     Scalar in, complex out; arrays map elementwise.  The closed form
 
-        t = p e^{-ipL} / [p cosh(rho L) - i (p^2 - v0 E) L sinhc(rho L)]
+        t = p e^{-ipL} / [p cosh(rho L) - i (p^2 - v0 E) L sinh(rho L)/(rho L)]
 
     is analytic on the closed window (the apparent rho -> 0 edge singularity
-    cancels), reduces to 1 at L = 0, and is replaced past
-    ``rho L > 300`` by its opaque limit with the ``exp(-rho L)`` factored
-    out, which differs only at O(exp(-2 rho L)).
+    cancels) and reduces to 1 at L = 0.  It is evaluated with ``e^{rho L}``
+    divided out of numerator and denominator, so it stays exact at every
+    opacity, down to the underflow of t itself.
     """
     p_arr = np.asarray(p, dtype=float)
     scalar = p_arr.ndim == 0
     p1 = np.atleast_1d(p_arr)
-    energy = total_energy(p1, cfg.mass)
-    rho = np.atleast_1d(np.asarray(evanescent_rho(p1, cfg)))
-    L = float(cfg.width)
-    if L == 0.0:
+    if cfg.width == 0.0:
+        # the scaled form is 0/0 at p = 0 here
         out = np.ones(p1.shape, dtype=complex)
-        return complex(out[0]) if scalar else out
-
-    x = rho * L
-    beta = (p1 * p1 - cfg.v0 * energy) * L
-    out = np.empty(p1.shape, dtype=complex)
-
-    regular = x <= _OPAQUE_SWITCH
-    if np.any(regular):
-        xr = x[regular]
-        denom = p1[regular] * np.cosh(xr) - 1j * beta[regular] * _sinhc(xr)
-        out[regular] = p1[regular] * np.exp(-1j * p1[regular] * L) / denom
-    opaque = ~regular
-    if np.any(opaque):
-        pb = p1[opaque]
-        rb = rho[opaque]
-        denom = pb * rb - 1j * (pb * pb - cfg.v0 * energy[opaque])
-        out[opaque] = (
-            2.0 * pb * rb * np.exp(-x[opaque]) * np.exp(-1j * pb * L) / denom
-        )
+    else:
+        decay, re, im = _scaled_denominator(p1, cfg)
+        out = p1 * decay * np.exp(-1j * p1 * cfg.width) / (re + 1j * im)
     return complex(out[0]) if scalar else out
 
 
@@ -117,7 +98,7 @@ def transmission_phase(p, cfg: BarrierConfig):
 
     Defined through t = |t| e^{-ipL} e^{i theta}, with
 
-        tan(theta) = (p^2 - v0 E) L tanhc(rho L) / p,
+        tan(theta) = (p^2 - v0 E) L tanh(rho L) / (rho L p),
 
     so theta lies in [-pi/2, pi/2), reaching -pi/2 at p -> 0 where the
     numerator stays negative.  Vanishes identically at L = 0.
@@ -125,17 +106,8 @@ def transmission_phase(p, cfg: BarrierConfig):
     p_arr = np.asarray(p, dtype=float)
     scalar = p_arr.ndim == 0
     p1 = np.atleast_1d(p_arr)
-    energy = total_energy(p1, cfg.mass)
-    rho = np.atleast_1d(np.asarray(evanescent_rho(p1, cfg)))
-    L = float(cfg.width)
-    if L == 0.0:
-        out = np.zeros(p1.shape, dtype=float)
-        return float(out[0]) if scalar else out
-
-    num = (p1 * p1 - cfg.v0 * energy) * L * _tanhc(rho * L)
-    safe = np.where(p1 != 0.0, p1, 1.0)
-    ratio = np.where(p1 != 0.0, num / safe, np.where(num < 0.0, -np.inf, np.inf))
-    out = np.arctan(ratio)
+    _, re, im = _scaled_denominator(p1, cfg)
+    out = np.arctan2(-im, re)
     return float(out[0]) if scalar else out
 
 
@@ -161,15 +133,17 @@ def solve_matching(p, cfg: BarrierConfig) -> MatchingSolution:
 
         kappa_hat = -i p (E - v0 + mass) / (E + mass)
 
-    the denominator D = 2 kappa_hat cosh(x) + (rho^2 + kappa_hat^2) L sinhc(x)
-    (x = rho L) has a real and an imaginary part that never cancel, giving
+    and x = rho L, the denominator with e^{x} divided out,
 
-        t = e^{-ipL} 2 kappa_hat / D,
-        r = -e^{2ipa} (rho^2 - kappa_hat^2) L sinhc(x) / D,
+        Dx = kappa_hat (1 + e^{-2x}) + (rho^2 + kappa_hat^2) (1 - e^{-2x}) / (2 rho),
 
-    stable for any opacity; past x > 300 the exp(-x) factor is pulled out
-    explicitly.  Interior coefficients are reconstructed from the face
-    values, scaled so the growing-mode coefficient underflows cleanly.
+    has a real and an imaginary part that never cancel, giving
+
+        t = e^{-ipL} 2 kappa_hat e^{-x} / Dx,
+        r = -e^{2ipa} (rho^2 - kappa_hat^2) (1 - e^{-2x}) / (2 rho Dx),
+
+    exact for any opacity.  Interior coefficients are reconstructed from the
+    face values, scaled so the growing-mode coefficient underflows cleanly.
 
     Momenta at the exact upper window edge have rho = 0, where the two
     interior modes coincide and the matching system is singular; that raises
@@ -197,21 +171,11 @@ def solve_matching(p, cfg: BarrierConfig) -> MatchingSolution:
     phi_a = np.exp(1j * p * a)
     phi_b = np.exp(1j * p * (a + L))
 
-    if x <= _OPAQUE_SWITCH:
-        lshc = L * float(_sinhc(x))
-        dhat = 2.0 * kappa_hat * np.cosh(x) + (rho * rho + kappa_hat * kappa_hat) * lshc
-        t_c = np.exp(-1j * p * L) * 2.0 * kappa_hat / dhat
-        r_c = -np.exp(2j * p * a) * (rho * rho - kappa_hat * kappa_hat) * lshc / dhat
-    else:
-        t_c = (
-            np.exp(-1j * p * L)
-            * 4.0
-            * kappa_hat
-            * rho
-            * np.exp(-x)
-            / (rho + kappa_hat) ** 2
-        )
-        r_c = -np.exp(2j * p * a) * (rho - kappa_hat) / (rho + kappa_hat)
+    decay = np.exp(-x)
+    lq = -np.expm1(-2.0 * x) / (2.0 * rho)  # L q(x); rho > 0 here
+    dhat = kappa_hat * (1.0 + decay * decay) + (rho * rho + kappa_hat * kappa_hat) * lq
+    t_c = np.exp(-1j * p * L) * 2.0 * kappa_hat * decay / dhat
+    r_c = -np.exp(2j * p * a) * (rho * rho - kappa_hat * kappa_hat) * lq / dhat
 
     # Interior coefficients from the face values of the exterior solution.
     a_scaled = 0.5 * (phi_a * (1.0 + kappa) + r_c * np.conj(phi_a) * (1.0 - kappa))

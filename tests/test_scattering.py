@@ -213,3 +213,61 @@ class TestPhaseStructure:
         assert np.all(thetas < math.pi / 2.0)
         assert transmission_phase(0.0, cfg) == pytest.approx(-math.pi / 2.0)
         assert transmission_phase(0.9, BarrierConfig(v0=1.0, width=0.0)) == 0.0
+
+
+class TestEveryOpacity:
+    # rho L reaches 400 and 1000 at p = 0: past the cosh overflow near 710
+    WIDE = [BarrierConfig(v0=1.0, width=400.0), BarrierConfig(v0=1.0, width=1000.0)]
+
+    @staticmethod
+    def _momenta(cfg, lo_x, hi_x):
+        # p > 0: at p = 0, t vanishes and has no argument
+        ps = np.linspace(0.0, momentum_window(cfg)[1], 401)[1:]
+        x = evanescent_rho(ps, cfg) * cfg.width
+        return ps[(x > lo_x) & (x < hi_x)]
+
+    @pytest.mark.parametrize("cfg", WIDE, ids=["L400", "L1000"])
+    def test_array_matches_scalars(self, cfg):
+        ps = np.linspace(0.0, momentum_window(cfg)[1], 401)
+        ts = transmission_amplitude(ps, cfg)
+        thetas = transmission_phase(ps, cfg)
+        for p, t, theta in zip(ps, ts, thetas):
+            assert t == pytest.approx(transmission_amplitude(float(p), cfg), rel=1e-14)
+            assert theta == pytest.approx(transmission_phase(float(p), cfg), rel=1e-14)
+
+    @pytest.mark.parametrize("cfg", WIDE, ids=["L400", "L1000"])
+    def test_solver_and_phase_agree_across_former_switch(self, cfg):
+        ps = self._momenta(cfg, 300.0, 650.0)
+        assert ps.size > 20
+        for p in ps:
+            t = transmission_amplitude(p, cfg)
+            sol = solve_matching(p, cfg)
+            assert sol.t_coef == pytest.approx(t, rel=1e-10)
+            assert abs(sol.r) ** 2 + abs(sol.t_coef) ** 2 == pytest.approx(1.0, abs=1e-10)
+            assert transmission_phase(p, cfg) == pytest.approx(
+                cmath.phase(t * cmath.exp(1j * p * cfg.width)), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("cfg", WIDE, ids=["L400", "L1000"])
+    def test_opaque_limit_past_former_switch(self, cfg):
+        # the expression the amplitude used beyond rho L = 300, where the
+        # dropped e^{-2 rho L} terms are below 1e-260
+        ps = self._momenta(cfg, 300.0, 650.0)
+        assert ps.size > 20
+        L = cfg.width
+        for p in ps:
+            rho = evanescent_rho(p, cfg)
+            beta = p * p - cfg.v0 * math.hypot(p, cfg.mass)
+            opaque = (2.0 * p * rho * math.exp(-rho * L) * cmath.exp(-1j * p * L)
+                      / (p * rho - 1j * beta))
+            assert transmission_amplitude(p, cfg) == pytest.approx(opaque, rel=1e-13)
+
+    @pytest.mark.parametrize("width", [0.0, 10.0, 400.0, 1000.0])
+    def test_window_ends_are_finite(self, width):
+        cfg = BarrierConfig(v0=1.0, width=width)
+        ends = np.array([0.0, momentum_window(cfg)[1]])
+        assert np.all(np.isfinite(transmission_amplitude(ends, cfg)))
+        assert np.all(np.isfinite(transmission_phase(ends, cfg)))
+        for p in ends:
+            assert cmath.isfinite(transmission_amplitude(float(p), cfg))
+            assert math.isfinite(transmission_phase(float(p), cfg))
