@@ -607,6 +607,8 @@ def _parse_sweep_range(text: str) -> str:
         start, stop, step = (float(part) for part in parts)
     except ValueError:
         raise ConfigError(f"--L expects numbers in start:stop:step, got {text!r}") from None
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ConfigError(f"--L expects finite start:stop:step, got {text!r}")
     if step <= 0.0 or stop < start:
         raise ConfigError(f"--L range is empty: {text!r}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -659,7 +661,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             scenario = args.scenario
         config = validate_config(raw, scenario, overrides=overrides, out_dir=args.out)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:

@@ -282,3 +282,34 @@ class TestMaximize:
     def test_empty_bracket_raises(self):
         with pytest.raises(ValueError):
             maximize_peak_functional(50.0, CANON, bracket=(1.0, 1.0))
+
+
+def _slope(t, width, mode):
+    x, y, dx, dy = _envelope_parts(t, width, CANON, mode)
+    return 2.0 * (x * dx + y * dy)
+
+
+class TestMaximizerIsExact:
+    # P is a quartic in t, so its maximum is a root of the cubic dP/dt
+
+    @pytest.mark.parametrize("mode", ["exact", "asymptotic"])
+    @pytest.mark.parametrize("width", [6.0, 8.0, 10.0, 12.0, 15.0, 20.0, 25.0, 50.0, 100.0])
+    def test_root_of_the_slope_with_a_falling_sign(self, width, mode):
+        t = maximize_peak_functional(width, CANON, mode=mode)
+        beside = _slope(1.01 * t, width, mode)
+        assert abs(_slope(t, width, mode)) <= 1e-9 * abs(beside)
+        assert _slope(0.99 * t, width, mode) > 0.0
+        assert beside < 0.0
+
+    def test_thin_widths_find_the_local_maximum(self):
+        assert maximize_peak_functional(8.0, CANON) == pytest.approx(3.43287, abs=1e-5)
+        assert maximize_peak_functional(10.0, CANON) == pytest.approx(3.99606, abs=1e-5)
+
+    @pytest.mark.parametrize("width", [2.0, 4.0])
+    def test_no_local_maximum_raises(self, width):
+        with pytest.raises(ValueError):
+            maximize_peak_functional(width, CANON)
+
+    def test_maximum_outside_bracket_raises(self):
+        with pytest.raises(ValueError):
+            maximize_peak_functional(50.0, CANON, bracket=(0.0, 5.0))

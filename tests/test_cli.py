@@ -246,6 +246,14 @@ class TestMainErrors:
                      "--config", str(tmp_path / "missing.cfg")])
         assert code == 2
 
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"[physics]\nv0 = 1.0 # \xe9\n")
+        code = main(["run", "--scenario", "custom", "--out", str(tmp_path / "out"),
+                     "--config", str(path)])
+        assert code == 2
+        assert "error: cannot read config: " in capsys.readouterr().err
+
     def test_invalid_config_value(self, tmp_path):
         code = main(["run", "--scenario", "custom", "--out", str(tmp_path),
                      "--set", "numerics.nodes=10"])
@@ -270,9 +278,15 @@ class TestMainErrors:
         overrides = {("numerics", "nodes"): str(MAX_NODES // 2)}
         assert validate_config({}, scenario, overrides=overrides)
 
-    @pytest.mark.parametrize("spec", ["10:5:1", "10:20", "a:b:c", "0:10:0"])
+    @pytest.mark.parametrize("spec", ["10:5:1", "10:20", "a:b:c", "0:10:0", "0:10:nan",
+                                      "nan:10:1", "0:inf:1", "4:8:inf"])
     def test_bad_sweep_ranges(self, tmp_path, spec):
         assert main(["sweep", "--L", spec, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("spec", ["0:10:nan", "nan:10:1", "0:inf:1", "4:8:inf"])
+    def test_non_finite_sweep_range_names_the_option(self, tmp_path, capsys, spec):
+        assert main(["sweep", "--L", spec, "--out", str(tmp_path)]) == 2
+        assert "error: --L expects finite start:stop:step" in capsys.readouterr().err
 
     def test_unwritable_output_directory(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -93,7 +93,7 @@ def test_removed_knobs_are_gone():
     # the mass is recovered from the coefficients, a2 = 1 / (2 mass)
     for fn in (peak_functional, maximize_peak_functional):
         assert "mass" not in inspect.signature(fn).parameters
-    # the golden section stops when the bracket stops shrinking
+    # the maximum is an exact root of the cubic dP/dt, so there is nothing to tune
     assert "tol" not in inspect.signature(maximize_peak_functional).parameters
 
 
