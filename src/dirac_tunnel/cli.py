@@ -40,6 +40,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -62,8 +63,8 @@ from .transit import (
     transit_time_predicted,
 )
 from .wavepacket import (
-    MAX_NODES,
     PacketSpec,
+    check_gate_start,
     filter_stats,
     filtered_distributions,
     momentum_weight,
@@ -280,13 +281,12 @@ def validate_config(
     # the quadrature is built from whole 64-point panels
     if numerics.nodes < 64 or numerics.nodes % 64:
         raise ConfigError(f"numerics.nodes must be a positive multiple of 64, got {numerics.nodes}")
-    # every scenario but the filter curves runs the convergence gate, which
-    # must be able to double the start rule at least once
-    if scenario != "fig1_filter" and numerics.nodes > MAX_NODES // 2:
-        raise ConfigError(
-            f"numerics.nodes must be at most {MAX_NODES // 2} (half the gate's "
-            f"{MAX_NODES}-node ceiling), got {numerics.nodes}"
-        )
+    # every scenario but the filter curves runs the convergence gate
+    if scenario != "fig1_filter":
+        try:
+            check_gate_start(numerics.nodes)
+        except ValueError as exc:
+            raise ConfigError(f"numerics.nodes: {exc}") from None
     if not 0.0 < numerics.tolerance < 1.0:
         raise ConfigError(f"numerics.tolerance must lie in (0, 1), got {numerics.tolerance}")
     try:
@@ -330,6 +330,31 @@ def _fmt_column(column) -> _Text:
     return _Text(_fmt_cell(cell) for cell in column)
 
 
+def _json_table(comment: str, header: list[str], rows: list[tuple[str, ...]]) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` of one table, joined by hand.
+
+    ``payload`` is ``{"comment": comment, "columns": header, "rows": rows}``
+    with each row a list.  The bytes are json.dumps' own: with ``indent``
+    set, CPython's json encodes in pure Python, several times slower than
+    this join.  Strings holding a character JSON escapes, and an empty
+    header, go through json.dumps itself.
+    """
+    text = "".join([comment, *header, *chain.from_iterable(rows)])
+    # json.dumps writes as they are only printable ASCII characters but '"' and backslash
+    plain = text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+    if not (header and plain):
+        payload = {"comment": comment, "columns": header, "rows": list(map(list, rows))}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    columns = '",\n    "'.join(header)
+    cells = '",\n      "'.join
+    listed = ",\n    ".join(['[\n      "' + cells(row) + '"\n    ]' for row in rows])
+    listed = f"[\n    {listed}\n  ]" if rows else "[]"
+    return (
+        f'{{\n  "columns": [\n    "{columns}"\n  ],\n  "comment": "{comment}",\n'
+        f'  "rows": {listed}\n}}\n'
+    )
+
+
 class _Emitter:
     """Collects tabular outputs and writes them with checksums."""
 
@@ -355,9 +380,7 @@ class _Emitter:
         comment = self._comment(width)
         rows = zip(*map(_fmt_column, columns), strict=True)
         if self.config.output.format == "json":
-            payload = {"comment": comment, "columns": header, "rows": list(map(list, rows))}
-            body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-            self.write(Path(name).with_suffix(".json").name, body)
+            self.write(Path(name).with_suffix(".json").name, _json_table(comment, header, list(rows)))
             return
         # the trailing "" ends the body with a newline without copying it
         self.write(name, "\n".join([f"# {comment}", ",".join(header), *map(",".join, rows), ""]))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import BarrierConfig
-from .wavepacket import MAX_NODES, PacketSpec, PacketIntegrator, converged_integrator
+from .wavepacket import PacketIntegrator, PacketSpec, check_gate_start, converged_integrator
 
 __all__ = [
     "PeakKind",
@@ -130,36 +130,37 @@ def scan_peaks(
     within one ``step`` of its grid point.  A range too short for that grid
     raises ``ValueError``.
 
-    ``tol`` switches on the quadrature convergence gate: the node count is
-    doubled until the density at the coarse global maximum is stable to
-    that relative tolerance.  The grid is evaluated once, on the rule of
-    ``2 * nodes`` nodes; its global maximum is the probe at which the gate
-    compares that rule against ``nodes`` nodes, and only a gate that
-    escalates past ``2 * nodes`` makes the grid be evaluated again, on the
-    rule it keeps.  Without ``tol`` the grid is evaluated on ``nodes``
-    nodes.  Secondary peaks sit many orders of magnitude below the central
-    one, so scans that must resolve them should pass a tight gate (1e-14)
-    and a correspondingly low ``min_density_ratio``.
-    A ``tol`` below the rounding floor of the probe density (about 2e-16
-    relative) is refused with :class:`ConvergenceError` before any finer
-    rule is built: two rules that agree bit for bit do not count as
-    converged to it.  A probe density of exactly 0 skips that check.
+    The grid is evaluated once, on the graded rule of ``nodes`` nodes.
+    ``tol`` switches on the quadrature convergence gate
+    (:func:`~dirac_tunnel.wavepacket.converged_integrator`): at the grid's
+    global maximum it checks that rule against its pairwise-merged rule,
+    and keeps it if the densities agree to that relative tolerance; only a
+    failed check makes the gate split every panel until two rules agree,
+    and the grid be evaluated again, on the rule it keeps.  Secondary peaks
+    sit many orders of magnitude below the central one, so scans that must
+    resolve them should pass a tight gate (1e-14) and a correspondingly low
+    ``min_density_ratio``.  A ``tol`` below the rounding floor of the probe
+    density (about 2e-16 relative) is refused with
+    :class:`ConvergenceError` before any other rule is built: two rules
+    that agree bit for bit do not count as converged to it.  A probe
+    density of exactly 0 skips that check.
 
     Raises ``ValueError`` when the range contains no strict local maximum,
-    and, before any rule is built, when ``tol`` is set and ``2 * nodes``
-    exceeds ``MAX_NODES``.
+    and, before any rule is built, when ``tol`` is set and ``nodes`` is
+    above the gate's start limit
+    (:func:`~dirac_tunnel.wavepacket.check_gate_start`).
     """
     ts = scan_grid(t_range, step)
     if not 0.0 < min_density_ratio <= 1.0:
         raise ValueError(f"min_density_ratio must lie in (0, 1], got {min_density_ratio}")
-    if tol is not None and 2 * nodes > MAX_NODES:
-        raise ValueError(f"a gated scan needs 2 * nodes <= MAX_NODES={MAX_NODES}, got {nodes}")
-    eng = PacketIntegrator(spec, cfg, nodes=nodes if tol is None else 2 * nodes)
+    if tol is not None:
+        check_gate_start(nodes)
+    eng = PacketIntegrator(spec, cfg, nodes=nodes)
     dens = eng.density(z_eval, ts)
     if tol is not None:
         probe = float(ts[int(np.argmax(dens))])
-        gated = converged_integrator(spec, cfg, z_eval, probe, tol=tol, nodes=nodes)
-        if gated.nodes != eng.nodes:
+        gated = converged_integrator(spec, cfg, z_eval, probe, tol=tol, integrator=eng)
+        if gated is not eng:
             eng = gated
             dens = eng.density(z_eval, ts)
 

@@ -9,12 +9,20 @@ Peak positions, transit times, velocities and all density ratios are
 independent of these constants, which only pin the absolute density scale.
 
 Densities are evaluated by direct quadrature of the momentum integral on
-composite Gauss-Legendre panels.  The transmitted integrand is analytic on
+64-point Gauss-Legendre panels.  The transmitted integrand is analytic on
 the closed window (the window-edge square roots enter only through even
-combinations), so the rule converges spectrally and the same node table is
-reliable from the almost transparent to the deeply opaque regime, where the
-integral itself shrinks below 1e-25 while staying far above the rounding
-floor of the quadrature.
+combinations), so the rule converges spectrally, from the almost
+transparent to the deeply opaque regime, where the integral itself shrinks
+below 1e-25 while staying far above the rounding floor of the quadrature.
+For a wide barrier, though, the transmitted weight sits in a layer about
+``1/(c L)^2`` wide at the upper window edge, where ``rho ~ c sqrt(p_max - p)``
+with ``c^2 = 2 m p_max / (v0 + m)``.  So the rule of ``nodes`` nodes is
+graded toward that edge, as hp-finite elements grade toward a boundary
+layer (Schwab 1998): of its ``nodes // 64`` uniform panels the last is
+split geometrically toward ``p_max``, the first piece ``0.25/(c L)^2`` wide
+and each next one twice as wide, the last taking the rest and halved if the
+panel count would be odd, so that merging panels in pairs leaves none
+shared.  The free packet and width 0 keep the uniform panels.
 
 A curve is the sum over the N nodes of the coefficients times the phase
 ``exp(i p z - i E t)`` at each of its K points.  On an evenly spaced grid
@@ -142,17 +150,56 @@ def momentum_weight(p, spec: PacketSpec):
     return out
 
 
-def _composite_rule(lo: float, hi: float, nodes: int):
-    """Composite Gauss-Legendre rule of ``nodes`` points, a positive multiple of 64."""
+def _uniform_edges(lo: float, hi: float, nodes: int) -> np.ndarray:
+    """Edges of ``nodes // 64`` equal panels on [lo, hi]; ``nodes`` a positive multiple of 64."""
     if nodes <= 0 or nodes % _PANEL:
         raise ValueError(f"nodes must be a positive multiple of {_PANEL}, got {nodes}")
-    panels = nodes // _PANEL
-    edges = np.linspace(lo, hi, panels + 1)
+    return np.linspace(lo, hi, nodes // _PANEL + 1)
+
+
+def _graded_edges(spec: PacketSpec, cfg: BarrierConfig | None, nodes: int) -> np.ndarray:
+    """Panel edges of the rule of ``nodes`` nodes (see the module docstring)."""
+    edges = _uniform_edges(spec.p_min, spec.p_max, nodes)
+    if cfg is None or not cfg.width > 0.0:
+        return edges
+    c2 = 2.0 * cfg.mass * spec.p_max / (cfg.v0 + cfg.mass)
+    # no piece narrower than the spacing of floats at p_max
+    first = max(0.25 / (c2 * cfg.width * cfg.width), np.finfo(float).eps * spec.p_max)
+    # from p_max: first, 2 first, ..., 2^(pieces-2) first, then the rest of
+    # the panel, at least 2^(pieces-1) first wide; one piece keeps it whole
+    pieces = max(1, int(math.log2((spec.p_max - edges[-2]) / first + 1.0)))
+    distances = first * (2.0 ** np.arange(pieces - 1, 0, -1) - 1.0)
+    graded = np.append(spec.p_max - distances, spec.p_max)
+    if (edges.size + pieces) % 2:
+        graded = np.insert(graded, 0, 0.5 * (edges[-2] + graded[0]))
+    return np.concatenate((edges[:-1], graded))
+
+
+def _split(edges: np.ndarray) -> np.ndarray:
+    """Every panel halved."""
+    out = np.empty(2 * edges.size - 1)
+    out[::2] = edges
+    out[1::2] = 0.5 * (edges[:-1] + edges[1:])
+    return out
+
+
+def _merged(edges: np.ndarray) -> np.ndarray:
+    """Panels merged in pairs from the lower end; of an odd count the last stays whole."""
+    return np.append(edges[:-1:2], edges[-1])
+
+
+def _gauss_panels(edges: np.ndarray):
+    """Nodes and weights of the 64-point Gauss-Legendre rule on each panel of ``edges``."""
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     p = (mid[:, None] + half[:, None] * _PANEL_NODES[None, :]).ravel()
     w = (half[:, None] * _PANEL_WEIGHTS[None, :]).ravel()
     return p, w
+
+
+def _composite_rule(lo: float, hi: float, nodes: int):
+    """Composite Gauss-Legendre rule of ``nodes`` points, a positive multiple of 64."""
+    return _gauss_panels(_uniform_edges(lo, hi, nodes))
 
 
 def _fine_offsets(axis: np.ndarray) -> np.ndarray:
@@ -185,6 +232,11 @@ class PacketIntegrator:
     and never mutated, so a single instance can be shared freely.  ``cfg=None``
     builds the free (incident) packet at unit mass; otherwise the
     coefficients include the transmitted amplitude of ``cfg``.
+
+    The rule is the graded rule of ``nodes`` nodes, a positive multiple of
+    64 (see the module docstring), unless ``edges``, rising from
+    ``spec.p_min`` to ``spec.p_max``, give the panels; ``self.edges`` holds
+    the panel edges in use and ``self.nodes`` the node count.
     """
 
     def __init__(
@@ -192,11 +244,23 @@ class PacketIntegrator:
         spec: PacketSpec,
         cfg: BarrierConfig | None = None,
         nodes: int = 2048,
+        *,
+        edges=None,
     ):
         self.spec = spec
         self.cfg = cfg
         self.mass = 1.0 if cfg is None else float(cfg.mass)
-        p, w = _composite_rule(spec.p_min, spec.p_max, nodes)
+        if edges is None:
+            edges = _graded_edges(spec, cfg, nodes)
+        else:
+            edges = np.asarray(edges, dtype=float)
+            if not (
+                edges.ndim == 1 and edges.size >= 2 and np.all(np.diff(edges) >= 0.0)
+                and edges[0] == spec.p_min and edges[-1] == spec.p_max
+            ):
+                raise ValueError("edges must rise from p_min to p_max")
+        self.edges = edges
+        p, w = _gauss_panels(edges)
         self.nodes = p.size
         self.p = p
         self.energy = total_energy(p, self.mass)
@@ -324,6 +388,24 @@ def filter_stats(spec: PacketSpec, cfg: BarrierConfig, nodes: int = 2048) -> Fil
     )
 
 
+def check_gate_start(nodes: int) -> None:
+    """Refuse a gated start of more than ``MAX_NODES // 2`` nodes with ``ValueError``.
+
+    The one limit on a gate's start: it leaves the graded rule of ``nodes``
+    room for its grading within the ``MAX_NODES`` ceiling.  A start within
+    it raises no ``ValueError`` once a rule is built.
+    """
+    if nodes > MAX_NODES // 2:
+        raise ValueError(
+            f"a gated start needs nodes <= MAX_NODES // 2 = {MAX_NODES // 2}, got {nodes}"
+        )
+
+
+def _agree(a: float, b: float, tol: float) -> bool:
+    scale = max(abs(a), abs(b))
+    return scale == 0.0 or abs(a - b) <= tol * scale
+
+
 def converged_integrator(
     spec: PacketSpec,
     cfg: BarrierConfig | None,
@@ -331,56 +413,62 @@ def converged_integrator(
     t: float,
     tol: float = 1e-8,
     nodes: int = 2048,
+    *,
+    integrator: PacketIntegrator | None = None,
 ) -> PacketIntegrator:
-    """Double the node count until the probe density stabilizes.
+    """A rule whose density at the probe ``(z, t)`` is stable to ``tol``, checked downward.
 
-    The density at the probe point ``(z, t)`` is compared between
-    consecutive rules; once the relative change drops below ``tol`` the
-    finer rule is returned.  If the ceiling of ``MAX_NODES`` nodes is
-    reached first a :class:`ConvergenceError` carrying the last estimate
-    is raised.
+    ``integrator`` is the rule to keep, already built (a gated scan passes
+    the rule it evaluated its grid on).  Its probe density is compared with
+    that of its pairwise-merged rule, which coarsens every panel, the
+    graded ones at the window edge too; if the relative change is at most
+    ``tol``, ``integrator`` itself is returned.  By default the rule to keep
+    is the graded rule of ``nodes`` nodes with every panel split, whose
+    merged rule is exactly the rule of ``nodes`` nodes: that rule is built
+    and probed first, then the split one.  Each check that fails splits
+    every panel of the finer rule and compares again; no table is built
+    twice.  The gate builds no rule of more than ``MAX_NODES`` nodes: when
+    the next split would exceed that, it raises :class:`ConvergenceError`
+    carrying the last density as its estimate.
 
-    Before any finer rule is built, the relative rounding floor of the
-    start rule's probe density is estimated as
-    ``eps * (|g| S0 + |f| S2) / density``, where ``S0`` and ``S2`` are the
-    scaled sums of the node coefficients' moduli (the rounding bound of an
-    inner product, without its ``sqrt(N)`` factor).  A ``tol`` below that
-    floor cannot be told apart from rounding noise, so it is refused at
-    once with a :class:`ConvergenceError` that names the floor and carries
-    the start density as its estimate; a zero relative change between two
-    rules that agree bit for bit is never taken as convergence to such a
-    tolerance.  A start density of exactly 0 has no relative floor: the
-    check is skipped and the doubling loop handles it as before.
-
-    A start rule that cannot be doubled (``2 * nodes > MAX_NODES``) raises
-    ``ValueError`` before any rule is built.
+    Before any other rule is built, the relative rounding floor of the
+    first rule's probe density (``integrator``, or the rule of ``nodes``)
+    is estimated as ``eps * (|g| S0 + |f| S2) / density``, where ``S0`` and
+    ``S2`` are the scaled sums of the node coefficients' moduli (the
+    rounding bound of an inner product, without its ``sqrt(N)`` factor).
+    A ``tol`` below that floor is refused with a :class:`ConvergenceError`
+    that names the floor and carries that density as its estimate: two
+    rules that agree bit for bit do not count as converged to it.  A
+    density of exactly 0 has no relative floor and skips the check.  A
+    start above :func:`check_gate_start`'s limit raises ``ValueError``
+    before any rule is built.
     """
-    if 2 * nodes > MAX_NODES:
-        raise ValueError(f"the gate needs 2 * nodes <= MAX_NODES={MAX_NODES}, got {nodes}")
-    start = PacketIntegrator(spec, cfg, nodes=nodes)
-    g, f = start.amplitudes(z, [t])
-    d_prev = float(_modulus2(g, f)[0])
-    if d_prev > 0.0:
-        s0, s2 = start._scale * np.sum(np.abs(start._coef), axis=1)
-        eps = np.finfo(float).eps
-        floor = eps * (abs(g[0]) * s0 + abs(f[0]) * s2) / d_prev
+    if integrator is None:
+        check_gate_start(nodes)
+    rule = PacketIntegrator(spec, cfg, nodes=nodes) if integrator is None else integrator
+    g, f = rule.amplitudes(z, [t])
+    density = float(_modulus2(g, f)[0])
+    if density > 0.0:
+        s0, s2 = rule._scale * np.sum(np.abs(rule._coef), axis=1)
+        floor = np.finfo(float).eps * (abs(g[0]) * s0 + abs(f[0]) * s2) / density
         if tol < floor:
             raise ConvergenceError(
                 f"tolerance {tol:g} at probe (z={z}, t={t}) is below the "
                 f"rounding floor {floor:.2g} of the probe density",
-                estimate=d_prev,
+                estimate=density,
             )
-    n = nodes
-    while n * 2 <= MAX_NODES:
-        n *= 2
-        finer = PacketIntegrator(spec, cfg, nodes=n)
-        d_next = float(finer.density(z, [t])[0])
-        scale = max(abs(d_next), abs(d_prev))
-        if scale == 0.0 or abs(d_next - d_prev) <= tol * scale:
-            return finer
-        d_prev = d_next
+    if integrator is not None:
+        merged = PacketIntegrator(spec, cfg, edges=_merged(rule.edges))
+        if _agree(density, float(merged.density(z, [t])[0]), tol):
+            return rule
+    while 2 * rule.nodes <= MAX_NODES:
+        rule = PacketIntegrator(spec, cfg, edges=_split(rule.edges))
+        finer = float(rule.density(z, [t])[0])
+        if _agree(finer, density, tol):
+            return rule
+        density = finer
     raise ConvergenceError(
         f"density at probe (z={z}, t={t}) did not stabilize to {tol:g} "
         f"within {MAX_NODES} quadrature nodes",
-        estimate=d_prev,
+        estimate=density,
     )

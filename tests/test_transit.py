@@ -57,6 +57,19 @@ def _spy_density_dt(monkeypatch):
     return sizes
 
 
+def _spy_tables(monkeypatch):
+    """Record the node count of each ``PacketIntegrator`` built."""
+    tables = []
+    init = PacketIntegrator.__init__
+
+    def spy(integrator, *args, **kwargs):
+        init(integrator, *args, **kwargs)
+        tables.append(integrator.nodes)
+
+    monkeypatch.setattr(PacketIntegrator, "__init__", spy)
+    return tables
+
+
 @pytest.fixture(scope="module")
 def fringe_scan():
     return scan_peaks(
@@ -203,10 +216,11 @@ class TestScanBehavior:
         assert sizes and set(sizes) == {1}
         assert len(sizes) <= 10
 
-    @pytest.mark.parametrize("width, tol, grids", [(10.0, 1e-8, [4096]), (30.0, 1e-14, [4096, 16384])])
+    @pytest.mark.parametrize("width, tol, grids", [(10.0, 1e-8, [2304]), (30.0, 1e-14, [2560, 5120])])
     def test_grid_is_evaluated_once_on_the_kept_rule(self, monkeypatch, width, tol, grids):
-        # A gated scan evaluates its grid on twice the start rule; only a gate
-        # that escalates past that rule makes it evaluate the grid again.
+        # A gated scan evaluates its grid on the graded rule of its 2048
+        # nodes (2304 and 2560 with the grading); only a gate that escalates
+        # past that rule makes it evaluate the grid again.
         grid_nodes = []
         density = PacketIntegrator.density
 
@@ -218,6 +232,22 @@ class TestScanBehavior:
         monkeypatch.setattr(PacketIntegrator, "density", spy)
         scan_peaks(width, (-100.0, 100.0), SPEC, barrier(width), tol=tol)
         assert grid_nodes == grids
+
+    def test_a_passed_check_builds_two_tables_and_one_grid(self, monkeypatch):
+        # gated at 1e-8, the kept rule passes its check against its merged
+        # rule: two tables, one grid, no escalation
+        tables, grids = _spy_tables(monkeypatch), []
+        density = PacketIntegrator.density
+
+        def spy_density(integrator, z, ts):
+            if np.size(ts) > 3:
+                grids.append(integrator.nodes)
+            return density(integrator, z, ts)
+
+        monkeypatch.setattr(PacketIntegrator, "density", spy_density)
+        scan_peaks(10.0, (-100.0, 100.0), SPEC, barrier(10.0), tol=1e-8)
+        assert tables == [2304, 1152]
+        assert grids == [2304]
 
 
 class TestTunnelingTime:
@@ -241,6 +271,19 @@ class TestTunnelingTime:
             for n in (16384, 32768)
         ]
         assert taus[0] == pytest.approx(taus[1], abs=1e-8)
+
+    @pytest.mark.parametrize("width, tau_ref", [
+        (400.0, 150.160548754), (800.0, 300.775142620), (1600.0, 601.776684300),
+    ])
+    def test_wide_barriers_without_escalation(self, monkeypatch, width, tau_ref):
+        # the graded rule of the default 2048 nodes resolves the window-edge
+        # layer (about 1/(c L)^2 wide) of a wide barrier: the gate keeps it
+        # (one table and its merged rule) and tau matches the value three
+        # independent graded rules agree on to 1.5e-8
+        tables = _spy_tables(monkeypatch)
+        tau, _ = numeric_tunneling_time(SPEC, barrier(width), t_range=(0.0, width / 2.0))
+        assert tau == pytest.approx(tau_ref, rel=1e-6)
+        assert len(tables) == 2 and tables[1] == tables[0] // 2
 
     def test_zero_width_rejected(self):
         with pytest.raises(ValueError):

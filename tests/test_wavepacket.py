@@ -229,7 +229,48 @@ class TestNodePolicy:
             PacketIntegrator(SPEC, barrier(10.0), nodes=nodes)
 
     def test_whole_panels_are_kept(self):
-        assert PacketIntegrator(SPEC, barrier(10.0), nodes=192).nodes == 192
+        # the uniform rule keeps exactly its nodes; the graded rule keeps
+        # every uniform panel but the last, plus 64 nodes per graded piece
+        assert PacketIntegrator(SPEC, None, nodes=192).nodes == 192
+        assert PacketIntegrator(SPEC, barrier(0.0), nodes=192).nodes == 192
+        graded = PacketIntegrator(SPEC, barrier(10.0), nodes=192)
+        base = np.linspace(SPEC.p_min, SPEC.p_max, 4)
+        pieces = np.count_nonzero(graded.edges > base[-2])
+        assert np.array_equal(graded.edges[:3], base[:3])
+        assert pieces > 1
+        assert graded.nodes == 128 + 64 * pieces
+
+    @pytest.mark.parametrize("edges", [[0.0, 1.0], [0.0, 1.0, 0.5, math.sqrt(3.0)],
+                                       [math.sqrt(3.0)], [[0.0, math.sqrt(3.0)]]])
+    def test_panel_edges_must_span_the_window(self, edges):
+        with pytest.raises(ValueError, match="edges"):
+            PacketIntegrator(SPEC, barrier(10.0), edges=edges)
+
+    def test_panel_edges_give_the_rule(self):
+        eng = PacketIntegrator(SPEC, barrier(10.0), edges=[0.0, 1.0, math.sqrt(3.0)])
+        assert eng.nodes == 128
+        assert np.all((eng.p > 0.0) & (eng.p < math.sqrt(3.0)))
+
+    @pytest.mark.parametrize("width", [10.0, 100.0, 800.0])
+    def test_merged_rule_shares_no_panel(self, monkeypatch, width):
+        # the gate checks a kept rule against its pairwise-merged rule: every
+        # merged panel joins two kept panels, the graded ones at p_max too
+        kept = PacketIntegrator(SPEC, barrier(width))
+        built = []
+        real = wavepacket.PacketIntegrator
+
+        def spy(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(wavepacket, "PacketIntegrator", spy)
+        assert converged_integrator(SPEC, barrier(width), z=width, t=0.0, integrator=kept) is kept
+        [merged] = built
+        assert (kept.edges.size - 1) % 2 == 0
+        assert np.array_equal(merged.edges, kept.edges[::2])
+        panels = set(zip(kept.edges[:-1], kept.edges[1:]))
+        assert not panels & set(zip(merged.edges[:-1], merged.edges[1:]))
+        assert merged.nodes == kept.nodes // 2
 
     def test_gate_refuses_an_undoublable_start_before_building(self, monkeypatch):
         built = []
@@ -362,11 +403,22 @@ class TestConvergence:
         assert estimate == pytest.approx(2.29544239794700562e-08, rel=1e-6)
 
     def test_ceiling_exhausted_raises_with_estimate(self, monkeypatch):
-        # tol 1e-14 sits above the probe's rounding floor, but the
-        # 2048 -> 4096 relative change is 2.9e-14, so a 4096-node ceiling
-        # runs out before the rules agree
-        monkeypatch.setattr(wavepacket, "MAX_NODES", 4096)
-        message = "did not stabilize to 1e-14 within 4096"
+        # tol 1e-14 sits above the probe's rounding floor, but the graded
+        # rule of 2048 nodes (2688 at L = 100) and its split (5376) still
+        # differ by 2e-13, so an 8192-node ceiling runs out before the rules
+        # agree; the estimate is the split rule's density
+        built = []
+        real = wavepacket.PacketIntegrator
+
+        def spy(*args, **kwargs):
+            integrator = real(*args, **kwargs)
+            built.append(integrator.nodes)
+            return integrator
+
+        monkeypatch.setattr(wavepacket, "PacketIntegrator", spy)
+        monkeypatch.setattr(wavepacket, "MAX_NODES", 8192)
+        message = "did not stabilize to 1e-14 within 8192"
         with pytest.raises(ConvergenceError, match=message) as excinfo:
-            converged_integrator(SPEC, barrier(30.0), z=30.0, t=3.25, tol=1e-14)
-        assert excinfo.value.estimate == pytest.approx(2.0959707656606323e-22, rel=1e-6)
+            converged_integrator(SPEC, barrier(100.0), z=100.0, t=36.25, tol=1e-14)
+        assert built == [2688, 5376]
+        assert excinfo.value.estimate == pytest.approx(3.628014183869885e-26, rel=1e-6)
