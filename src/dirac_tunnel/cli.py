@@ -40,7 +40,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -330,31 +329,6 @@ def _fmt_column(column) -> _Text:
     return _Text(_fmt_cell(cell) for cell in column)
 
 
-def _json_table(comment: str, header: list[str], rows: list[tuple[str, ...]]) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` of one table, joined by hand.
-
-    ``payload`` is ``{"comment": comment, "columns": header, "rows": rows}``
-    with each row a list.  The bytes are json.dumps' own: with ``indent``
-    set, CPython's json encodes in pure Python, several times slower than
-    this join.  Strings holding a character JSON escapes, and an empty
-    header, go through json.dumps itself.
-    """
-    text = "".join([comment, *header, *chain.from_iterable(rows)])
-    # json.dumps writes as they are only printable ASCII characters but '"' and backslash
-    plain = text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
-    if not (header and plain):
-        payload = {"comment": comment, "columns": header, "rows": list(map(list, rows))}
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    columns = '",\n    "'.join(header)
-    cells = '",\n      "'.join
-    listed = ",\n    ".join(['[\n      "' + cells(row) + '"\n    ]' for row in rows])
-    listed = f"[\n    {listed}\n  ]" if rows else "[]"
-    return (
-        f'{{\n  "columns": [\n    "{columns}"\n  ],\n  "comment": "{comment}",\n'
-        f'  "rows": {listed}\n}}\n'
-    )
-
-
 class _Emitter:
     """Collects tabular outputs and writes them with checksums."""
 
@@ -380,7 +354,9 @@ class _Emitter:
         comment = self._comment(width)
         rows = zip(*map(_fmt_column, columns), strict=True)
         if self.config.output.format == "json":
-            self.write(Path(name).with_suffix(".json").name, _json_table(comment, header, list(rows)))
+            payload = {"comment": comment, "columns": header, "rows": list(map(list, rows))}
+            body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            self.write(Path(name).with_suffix(".json").name, body)
             return
         # the trailing "" ends the body with a newline without copying it
         self.write(name, "\n".join([f"# {comment}", ",".join(header), *map(",".join, rows), ""]))

@@ -135,8 +135,9 @@ def scan_peaks(
     (:func:`~dirac_tunnel.wavepacket.converged_integrator`): at the grid's
     global maximum it checks that rule against its pairwise-merged rule,
     and keeps it if the densities agree to that relative tolerance; only a
-    failed check makes the gate split every panel until two rules agree,
-    and the grid be evaluated again, on the rule it keeps.  Secondary peaks
+    failed check (or a uniform rule of an odd panel count, which skips it)
+    makes the gate split every panel until two rules agree, and the grid be
+    evaluated again, on the rule it keeps.  Secondary peaks
     sit many orders of magnitude below the central one, so scans that must
     resolve them should pass a tight gate (1e-14) and a correspondingly low
     ``min_density_ratio``.  A ``tol`` below the rounding floor of the probe

@@ -22,7 +22,9 @@ layer (Schwab 1998): of its ``nodes // 64`` uniform panels the last is
 split geometrically toward ``p_max``, the first piece ``0.25/(c L)^2`` wide
 and each next one twice as wide, the last taking the rest and halved if the
 panel count would be odd, so that merging panels in pairs leaves none
-shared.  The free packet and width 0 keep the uniform panels.
+shared.  The free packet and width 0 keep the uniform panels.  ``nodes``
+is the rule's uniform base; its node count is larger by 64 per graded
+piece beyond the first.
 
 A curve is the sum over the N nodes of the coefficients times the phase
 ``exp(i p z - i E t)`` at each of its K points.  On an evenly spaced grid
@@ -61,8 +63,8 @@ _PANEL = 64          # Gauss-Legendre points per panel
 _PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL)
 _TIME_CHUNK = 512    # spacetime points per matrix block
 _EVEN_ULPS = 4       # spacing error, in ulps of max|x|, of an evenly spaced axis
-# Node ceiling of the convergence gate; a start rule above half of it
-# cannot be doubled even once.
+# Node ceiling of the convergence gate's splits; a uniform start rule above
+# half of it cannot be split even once.
 MAX_NODES = 65536
 
 
@@ -184,8 +186,8 @@ def _split(edges: np.ndarray) -> np.ndarray:
 
 
 def _merged(edges: np.ndarray) -> np.ndarray:
-    """Panels merged in pairs from the lower end; of an odd count the last stays whole."""
-    return np.append(edges[:-1:2], edges[-1])
+    """Panels merged in pairs; ``edges`` of an even panel count."""
+    return edges[::2]
 
 
 def _gauss_panels(edges: np.ndarray):
@@ -233,10 +235,9 @@ class PacketIntegrator:
     builds the free (incident) packet at unit mass; otherwise the
     coefficients include the transmitted amplitude of ``cfg``.
 
-    The rule is the graded rule of ``nodes`` nodes, a positive multiple of
-    64 (see the module docstring), unless ``edges``, rising from
-    ``spec.p_min`` to ``spec.p_max``, give the panels; ``self.edges`` holds
-    the panel edges in use and ``self.nodes`` the node count.
+    The rule is the graded rule of uniform base ``nodes``, a positive
+    multiple of 64 (see the module docstring); ``self.nodes`` holds its
+    node count.
     """
 
     def __init__(
@@ -245,22 +246,14 @@ class PacketIntegrator:
         cfg: BarrierConfig | None = None,
         nodes: int = 2048,
         *,
-        edges=None,
+        _edges: np.ndarray | None = None,
     ):
         self.spec = spec
         self.cfg = cfg
         self.mass = 1.0 if cfg is None else float(cfg.mass)
-        if edges is None:
-            edges = _graded_edges(spec, cfg, nodes)
-        else:
-            edges = np.asarray(edges, dtype=float)
-            if not (
-                edges.ndim == 1 and edges.size >= 2 and np.all(np.diff(edges) >= 0.0)
-                and edges[0] == spec.p_min and edges[-1] == spec.p_max
-            ):
-                raise ValueError("edges must rise from p_min to p_max")
-        self.edges = edges
-        p, w = _gauss_panels(edges)
+        # the gate's split and merged rules pass their panels instead
+        self._edges = _graded_edges(spec, cfg, nodes) if _edges is None else _edges
+        p, w = _gauss_panels(self._edges)
         self.nodes = p.size
         self.p = p
         self.energy = total_energy(p, self.mass)
@@ -389,11 +382,13 @@ def filter_stats(spec: PacketSpec, cfg: BarrierConfig, nodes: int = 2048) -> Fil
 
 
 def check_gate_start(nodes: int) -> None:
-    """Refuse a gated start of more than ``MAX_NODES // 2`` nodes with ``ValueError``.
+    """Refuse a gated start of a uniform base above ``MAX_NODES // 2`` with ``ValueError``.
 
-    The one limit on a gate's start: it leaves the graded rule of ``nodes``
-    room for its grading within the ``MAX_NODES`` ceiling.  A start within
-    it raises no ``ValueError`` once a rule is built.
+    The one limit on a gate's start.  The gate compares the rule of a
+    start within it with at least one other rule: a graded rule (an even
+    panel count) with its merged rule, a uniform rule of an odd panel count
+    with its split, which the ``MAX_NODES`` ceiling leaves room for.  It
+    raises no ``ValueError`` once a rule is built.
     """
     if nodes > MAX_NODES // 2:
         raise ValueError(
@@ -418,34 +413,38 @@ def converged_integrator(
 ) -> PacketIntegrator:
     """A rule whose density at the probe ``(z, t)`` is stable to ``tol``, checked downward.
 
-    ``integrator`` is the rule to keep, already built (a gated scan passes
-    the rule it evaluated its grid on).  Its probe density is compared with
-    that of its pairwise-merged rule, which coarsens every panel, the
-    graded ones at the window edge too; if the relative change is at most
-    ``tol``, ``integrator`` itself is returned.  By default the rule to keep
-    is the graded rule of ``nodes`` nodes with every panel split, whose
-    merged rule is exactly the rule of ``nodes`` nodes: that rule is built
-    and probed first, then the split one.  Each check that fails splits
-    every panel of the finer rule and compares again; no table is built
-    twice.  The gate builds no rule of more than ``MAX_NODES`` nodes: when
-    the next split would exceed that, it raises :class:`ConvergenceError`
-    carrying the last density as its estimate.
+    ``integrator`` is the rule to keep, already built from a start within
+    :func:`check_gate_start`'s limit (a gated scan passes the rule it
+    evaluated its grid on); by default it is the graded rule of ``nodes``
+    with every panel split, built after that limit is checked.  Its probe
+    density is compared with that of its pairwise-merged rule, which
+    coarsens every panel, the graded ones at the window edge too (for the
+    default, exactly the rule of ``nodes``); if the relative change is at
+    most ``tol``, that rule is returned.  A rule of an odd panel count (a
+    uniform rule of an odd ``nodes // 64``) skips that check, since its
+    merged rule would share a panel with it.  Each check that fails, or is
+    skipped, splits every panel of the finer rule and compares again; no
+    table is built twice.  The gate splits no
+    rule into one of more than ``MAX_NODES`` nodes: when the next split
+    would exceed that, it raises :class:`ConvergenceError` that names the
+    largest rule compared and carries its density as the estimate.  (The
+    default's kept rule is built whole: for a graded start near the limit
+    it has somewhat more than ``MAX_NODES`` nodes.)
 
     Before any other rule is built, the relative rounding floor of the
-    first rule's probe density (``integrator``, or the rule of ``nodes``)
-    is estimated as ``eps * (|g| S0 + |f| S2) / density``, where ``S0`` and
-    ``S2`` are the scaled sums of the node coefficients' moduli (the
-    rounding bound of an inner product, without its ``sqrt(N)`` factor).
-    A ``tol`` below that floor is refused with a :class:`ConvergenceError`
-    that names the floor and carries that density as its estimate: two
-    rules that agree bit for bit do not count as converged to it.  A
-    density of exactly 0 has no relative floor and skips the check.  A
-    start above :func:`check_gate_start`'s limit raises ``ValueError``
-    before any rule is built.
+    kept rule's probe density is estimated as
+    ``eps * (|g| S0 + |f| S2) / density``, where ``S0`` and ``S2`` are the
+    scaled sums of the node coefficients' moduli (the rounding bound of an
+    inner product, without its ``sqrt(N)`` factor).  A ``tol`` below that
+    floor is refused with a :class:`ConvergenceError` that names the floor
+    and carries that density as its estimate: two rules that agree bit for
+    bit do not count as converged to it.  A density of exactly 0 has no
+    relative floor and skips the check.
     """
-    if integrator is None:
+    rule = integrator
+    if rule is None:
         check_gate_start(nodes)
-    rule = PacketIntegrator(spec, cfg, nodes=nodes) if integrator is None else integrator
+        rule = PacketIntegrator(spec, cfg, _edges=_split(_graded_edges(spec, cfg, nodes)))
     g, f = rule.amplitudes(z, [t])
     density = float(_modulus2(g, f)[0])
     if density > 0.0:
@@ -457,18 +456,19 @@ def converged_integrator(
                 f"rounding floor {floor:.2g} of the probe density",
                 estimate=density,
             )
-    if integrator is not None:
-        merged = PacketIntegrator(spec, cfg, edges=_merged(rule.edges))
+    if (rule._edges.size - 1) % 2 == 0:
+        merged = PacketIntegrator(spec, cfg, _edges=_merged(rule._edges))
         if _agree(density, float(merged.density(z, [t])[0]), tol):
             return rule
     while 2 * rule.nodes <= MAX_NODES:
-        rule = PacketIntegrator(spec, cfg, edges=_split(rule.edges))
+        rule = PacketIntegrator(spec, cfg, _edges=_split(rule._edges))
         finer = float(rule.density(z, [t])[0])
         if _agree(finer, density, tol):
             return rule
         density = finer
     raise ConvergenceError(
-        f"density at probe (z={z}, t={t}) did not stabilize to {tol:g} "
-        f"within {MAX_NODES} quadrature nodes",
+        f"density at probe (z={z}, t={t}) did not stabilize to {tol:g}: the "
+        f"largest rule compared has {rule.nodes} nodes, and its split would "
+        f"exceed the ceiling of {MAX_NODES}",
         estimate=density,
     )

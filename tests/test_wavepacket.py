@@ -235,21 +235,10 @@ class TestNodePolicy:
         assert PacketIntegrator(SPEC, barrier(0.0), nodes=192).nodes == 192
         graded = PacketIntegrator(SPEC, barrier(10.0), nodes=192)
         base = np.linspace(SPEC.p_min, SPEC.p_max, 4)
-        pieces = np.count_nonzero(graded.edges > base[-2])
-        assert np.array_equal(graded.edges[:3], base[:3])
+        pieces = np.count_nonzero(graded._edges > base[-2])
+        assert np.array_equal(graded._edges[:3], base[:3])
         assert pieces > 1
         assert graded.nodes == 128 + 64 * pieces
-
-    @pytest.mark.parametrize("edges", [[0.0, 1.0], [0.0, 1.0, 0.5, math.sqrt(3.0)],
-                                       [math.sqrt(3.0)], [[0.0, math.sqrt(3.0)]]])
-    def test_panel_edges_must_span_the_window(self, edges):
-        with pytest.raises(ValueError, match="edges"):
-            PacketIntegrator(SPEC, barrier(10.0), edges=edges)
-
-    def test_panel_edges_give_the_rule(self):
-        eng = PacketIntegrator(SPEC, barrier(10.0), edges=[0.0, 1.0, math.sqrt(3.0)])
-        assert eng.nodes == 128
-        assert np.all((eng.p > 0.0) & (eng.p < math.sqrt(3.0)))
 
     @pytest.mark.parametrize("width", [10.0, 100.0, 800.0])
     def test_merged_rule_shares_no_panel(self, monkeypatch, width):
@@ -266,11 +255,31 @@ class TestNodePolicy:
         monkeypatch.setattr(wavepacket, "PacketIntegrator", spy)
         assert converged_integrator(SPEC, barrier(width), z=width, t=0.0, integrator=kept) is kept
         [merged] = built
-        assert (kept.edges.size - 1) % 2 == 0
-        assert np.array_equal(merged.edges, kept.edges[::2])
-        panels = set(zip(kept.edges[:-1], kept.edges[1:]))
-        assert not panels & set(zip(merged.edges[:-1], merged.edges[1:]))
+        assert (kept._edges.size - 1) % 2 == 0
+        assert np.array_equal(merged._edges, kept._edges[::2])
+        panels = set(zip(kept._edges[:-1], kept._edges[1:]))
+        assert not panels & set(zip(merged._edges[:-1], merged._edges[1:]))
         assert merged.nodes == kept.nodes // 2
+
+    @pytest.mark.parametrize("nodes", [64, 192])
+    def test_odd_panel_count_is_checked_against_its_split(self, monkeypatch, nodes):
+        # a uniform rule of an odd panel count would share its last panel
+        # with its merged rule, so the gate compares it with its split
+        kept = PacketIntegrator(SPEC, barrier(0.0), nodes=nodes)
+        built = []
+        real = wavepacket.PacketIntegrator
+
+        def spy(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(wavepacket, "PacketIntegrator", spy)
+        try:
+            converged_integrator(SPEC, barrier(0.0), z=0.0, t=0.0, integrator=kept)
+        except ConvergenceError:
+            pass
+        assert built and built[0].nodes == 2 * nodes
+        assert np.array_equal(built[0]._edges[::2], kept._edges)
 
     def test_gate_refuses_an_undoublable_start_before_building(self, monkeypatch):
         built = []
@@ -388,25 +397,28 @@ class TestConvergence:
         built = []
         real = wavepacket.PacketIntegrator
 
-        def spy(spec, cfg=None, nodes=2048, **kwargs):
-            built.append(nodes)
-            return real(spec, cfg, nodes=nodes, **kwargs)
+        def spy(*args, **kwargs):
+            integrator = real(*args, **kwargs)
+            built.append(integrator.nodes)
+            return integrator
 
         monkeypatch.setattr(wavepacket, "PacketIntegrator", spy)
         with pytest.raises(ConvergenceError, match="rounding floor") as excinfo:
             converged_integrator(
                 SPEC, barrier(10.0), z=10.0, t=2.0, tol=1e-30, nodes=2048,
             )
-        # no finer rule was built, so no comparison of two rules decided it
-        assert built == [2048]
+        # only the kept rule (the graded rule of 2048 nodes, 2304 at L = 10,
+        # split) was built, so no comparison of two rules decided it
+        assert built == [4608]
         estimate = excinfo.value.estimate
         assert estimate == pytest.approx(2.29544239794700562e-08, rel=1e-6)
 
     def test_ceiling_exhausted_raises_with_estimate(self, monkeypatch):
-        # tol 1e-14 sits above the probe's rounding floor, but the graded
-        # rule of 2048 nodes (2688 at L = 100) and its split (5376) still
-        # differ by 2e-13, so an 8192-node ceiling runs out before the rules
-        # agree; the estimate is the split rule's density
+        # tol 1e-14 sits above the probe's rounding floor, but at L = 100 the
+        # kept rule (the graded rule of 2048 nodes, 2688, split: 5376) and
+        # its merged rule differ by 2e-13, and its split (10752) by 1.2e-14,
+        # so a 16384-node ceiling runs out before two rules agree; the
+        # estimate is the largest rule's density
         built = []
         real = wavepacket.PacketIntegrator
 
@@ -416,9 +428,12 @@ class TestConvergence:
             return integrator
 
         monkeypatch.setattr(wavepacket, "PacketIntegrator", spy)
-        monkeypatch.setattr(wavepacket, "MAX_NODES", 8192)
-        message = "did not stabilize to 1e-14 within 8192"
+        monkeypatch.setattr(wavepacket, "MAX_NODES", 16384)
+        message = (
+            "did not stabilize to 1e-14: the largest rule compared has 10752 "
+            "nodes, and its split would exceed the ceiling of 16384"
+        )
         with pytest.raises(ConvergenceError, match=message) as excinfo:
             converged_integrator(SPEC, barrier(100.0), z=100.0, t=36.25, tol=1e-14)
-        assert built == [2688, 5376]
-        assert excinfo.value.estimate == pytest.approx(3.628014183869885e-26, rel=1e-6)
+        assert built == [5376, 2688, 10752]
+        assert excinfo.value.estimate == pytest.approx(3.6280141838698435e-26, rel=1e-6)
