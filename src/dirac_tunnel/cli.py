@@ -62,8 +62,8 @@ from .transit import (
     transit_time_predicted,
 )
 from .wavepacket import (
+    MAX_NODES,
     PacketSpec,
-    check_gate_start,
     filter_stats,
     filtered_distributions,
     momentum_weight,
@@ -277,15 +277,11 @@ def validate_config(
                     f"geometry.D: detector {det} sits before the downstream "
                     f"barrier face at {needed}"
                 )
-    # the quadrature is built from whole 64-point panels
-    if numerics.nodes < 64 or numerics.nodes % 64:
-        raise ConfigError(f"numerics.nodes must be a positive multiple of 64, got {numerics.nodes}")
-    # every scenario but the filter curves runs the convergence gate
-    if scenario != "fig1_filter":
-        try:
-            check_gate_start(numerics.nodes)
-        except ValueError as exc:
-            raise ConfigError(f"numerics.nodes: {exc}") from None
+    # whole 64-point panels, up to the gate's node ceiling
+    if not 64 <= numerics.nodes <= MAX_NODES or numerics.nodes % 64:
+        raise ConfigError(
+            f"numerics.nodes must be a multiple of 64 from 64 to {MAX_NODES}, got {numerics.nodes}"
+        )
     if not 0.0 < numerics.tolerance < 1.0:
         raise ConfigError(f"numerics.tolerance must lie in (0, 1), got {numerics.tolerance}")
     try:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import BarrierConfig
-from .wavepacket import PacketIntegrator, PacketSpec, check_gate_start, converged_integrator
+from .wavepacket import PacketIntegrator, PacketSpec, converged_integrator
 
 __all__ = [
     "PeakKind",
@@ -135,10 +135,11 @@ def scan_peaks(
     (:func:`~dirac_tunnel.wavepacket.converged_integrator`): at the grid's
     global maximum it checks that rule against its pairwise-merged rule,
     and keeps it if the densities agree to that relative tolerance; only a
-    failed check (or a uniform rule of an odd panel count, which skips it)
-    makes the gate split every panel until two rules agree, and the grid be
-    evaluated again, on the rule it keeps.  Secondary peaks
-    sit many orders of magnitude below the central one, so scans that must
+    failed check makes the gate split every panel until two rules agree,
+    and the grid be evaluated again, on the rule it keeps.  A rule the
+    gate cannot split within its ``MAX_NODES`` ceiling ends in
+    :class:`ConvergenceError` when its check fails.  Secondary peaks sit
+    many orders of magnitude below the central one, so scans that must
     resolve them should pass a tight gate (1e-14) and a correspondingly low
     ``min_density_ratio``.  A ``tol`` below the rounding floor of the probe
     density (about 2e-16 relative) is refused with
@@ -146,16 +147,11 @@ def scan_peaks(
     that agree bit for bit do not count as converged to it.  A probe
     density of exactly 0 skips that check.
 
-    Raises ``ValueError`` when the range contains no strict local maximum,
-    and, before any rule is built, when ``tol`` is set and ``nodes`` is
-    above the gate's start limit
-    (:func:`~dirac_tunnel.wavepacket.check_gate_start`).
+    Raises ``ValueError`` when the range contains no strict local maximum.
     """
     ts = scan_grid(t_range, step)
     if not 0.0 < min_density_ratio <= 1.0:
         raise ValueError(f"min_density_ratio must lie in (0, 1], got {min_density_ratio}")
-    if tol is not None:
-        check_gate_start(nodes)
     eng = PacketIntegrator(spec, cfg, nodes=nodes)
     dens = eng.density(z_eval, ts)
     if tol is not None:

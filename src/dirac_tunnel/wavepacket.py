@@ -20,11 +20,13 @@ with ``c^2 = 2 m p_max / (v0 + m)``.  So the rule of ``nodes`` nodes is
 graded toward that edge, as hp-finite elements grade toward a boundary
 layer (Schwab 1998): of its ``nodes // 64`` uniform panels the last is
 split geometrically toward ``p_max``, the first piece ``0.25/(c L)^2`` wide
-and each next one twice as wide, the last taking the rest and halved if the
-panel count would be odd, so that merging panels in pairs leaves none
-shared.  The free packet and width 0 keep the uniform panels.  ``nodes``
-is the rule's uniform base; its node count is larger by 64 per graded
-piece beyond the first.
+and each next one twice as wide, the last taking the rest.  The free
+packet and width 0 keep that panel whole.  Either way the widest piece of
+the last panel is halved if the panel count would be odd, so every rule
+has an even panel count and merging its panels in pairs leaves none
+shared.  ``nodes`` is the rule's uniform base; its node count is larger by
+64 per piece of the last panel beyond the first.  The packet densities
+and the filter statistics are integrated on this one rule.
 
 A curve is the sum over the N nodes of the coefficients times the phase
 ``exp(i p z - i E t)`` at each of its K points.  On an evenly spaced grid
@@ -63,8 +65,7 @@ _PANEL = 64          # Gauss-Legendre points per panel
 _PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL)
 _TIME_CHUNK = 512    # spacetime points per matrix block
 _EVEN_ULPS = 4       # spacing error, in ulps of max|x|, of an evenly spaced axis
-# Node ceiling of the convergence gate's splits; a uniform start rule above
-# half of it cannot be split even once.
+# Node ceiling of the convergence gate's splits
 MAX_NODES = 65536
 
 
@@ -152,27 +153,23 @@ def momentum_weight(p, spec: PacketSpec):
     return out
 
 
-def _uniform_edges(lo: float, hi: float, nodes: int) -> np.ndarray:
-    """Edges of ``nodes // 64`` equal panels on [lo, hi]; ``nodes`` a positive multiple of 64."""
-    if nodes <= 0 or nodes % _PANEL:
-        raise ValueError(f"nodes must be a positive multiple of {_PANEL}, got {nodes}")
-    return np.linspace(lo, hi, nodes // _PANEL + 1)
-
-
 def _graded_edges(spec: PacketSpec, cfg: BarrierConfig | None, nodes: int) -> np.ndarray:
     """Panel edges of the rule of ``nodes`` nodes (see the module docstring)."""
-    edges = _uniform_edges(spec.p_min, spec.p_max, nodes)
-    if cfg is None or not cfg.width > 0.0:
-        return edges
-    c2 = 2.0 * cfg.mass * spec.p_max / (cfg.v0 + cfg.mass)
-    # no piece narrower than the spacing of floats at p_max
-    first = max(0.25 / (c2 * cfg.width * cfg.width), np.finfo(float).eps * spec.p_max)
-    # from p_max: first, 2 first, ..., 2^(pieces-2) first, then the rest of
-    # the panel, at least 2^(pieces-1) first wide; one piece keeps it whole
-    pieces = max(1, int(math.log2((spec.p_max - edges[-2]) / first + 1.0)))
-    distances = first * (2.0 ** np.arange(pieces - 1, 0, -1) - 1.0)
-    graded = np.append(spec.p_max - distances, spec.p_max)
-    if (edges.size + pieces) % 2:
+    if nodes <= 0 or nodes % _PANEL:
+        raise ValueError(f"nodes must be a positive multiple of {_PANEL}, got {nodes}")
+    edges = np.linspace(spec.p_min, spec.p_max, nodes // _PANEL + 1)
+    # the last panel, kept whole for the free packet and width 0
+    graded = edges[-1:]
+    if cfg is not None and cfg.width > 0.0:
+        c2 = 2.0 * cfg.mass * spec.p_max / (cfg.v0 + cfg.mass)
+        # no piece narrower than the spacing of floats at p_max
+        first = max(0.25 / (c2 * cfg.width * cfg.width), np.finfo(float).eps * spec.p_max)
+        # from p_max: first, 2 first, ..., 2^(pieces-2) first, then the rest of
+        # the panel, at least 2^(pieces-1) first wide; one piece keeps it whole
+        pieces = max(1, int(math.log2((spec.p_max - edges[-2]) / first + 1.0)))
+        distances = first * (2.0 ** np.arange(pieces - 1, 0, -1) - 1.0)
+        graded = np.append(spec.p_max - distances, spec.p_max)
+    if (edges.size + graded.size) % 2:
         graded = np.insert(graded, 0, 0.5 * (edges[-2] + graded[0]))
     return np.concatenate((edges[:-1], graded))
 
@@ -197,11 +194,6 @@ def _gauss_panels(edges: np.ndarray):
     p = (mid[:, None] + half[:, None] * _PANEL_NODES[None, :]).ravel()
     w = (half[:, None] * _PANEL_WEIGHTS[None, :]).ravel()
     return p, w
-
-
-def _composite_rule(lo: float, hi: float, nodes: int):
-    """Composite Gauss-Legendre rule of ``nodes`` points, a positive multiple of 64."""
-    return _gauss_panels(_uniform_edges(lo, hi, nodes))
 
 
 def _fine_offsets(axis: np.ndarray) -> np.ndarray:
@@ -356,13 +348,14 @@ def filtered_distributions(p, spec: PacketSpec, cfg: BarrierConfig):
 def filter_stats(spec: PacketSpec, cfg: BarrierConfig, nodes: int = 2048) -> FilterStats:
     """Mean momentum, energy and velocity of the transmitted distribution.
 
-    Means are taken against the full spinor weight ``g_T^2 + f_T^2``.  The
+    Means are taken against the full spinor weight ``g_T^2 + f_T^2``, on
+    the graded rule of ``nodes`` (see the module docstring).  The
     barrier suppresses low momenta exponentially harder than high ones, so
     ``p_mean`` grows with the barrier width; for very wide barriers the
     weight underflows entirely and the means become undefined, which raises
     :class:`DegenerateWeightError`.
     """
-    p, w = _composite_rule(spec.p_min, spec.p_max, nodes)
+    p, w = _gauss_panels(_graded_edges(spec, cfg, nodes))
     g_t, f_t = filtered_distributions(p, spec, cfg)
     weight = g_t * g_t + f_t * f_t
     total = float(np.sum(w * weight))
@@ -379,21 +372,6 @@ def filter_stats(spec: PacketSpec, cfg: BarrierConfig, nodes: int = 2048) -> Fil
         v_out=p_mean / e_mean,
         transmitted_weight=total,
     )
-
-
-def check_gate_start(nodes: int) -> None:
-    """Refuse a gated start of a uniform base above ``MAX_NODES // 2`` with ``ValueError``.
-
-    The one limit on a gate's start.  The gate compares the rule of a
-    start within it with at least one other rule: a graded rule (an even
-    panel count) with its merged rule, a uniform rule of an odd panel count
-    with its split, which the ``MAX_NODES`` ceiling leaves room for.  It
-    raises no ``ValueError`` once a rule is built.
-    """
-    if nodes > MAX_NODES // 2:
-        raise ValueError(
-            f"a gated start needs nodes <= MAX_NODES // 2 = {MAX_NODES // 2}, got {nodes}"
-        )
 
 
 def _agree(a: float, b: float, tol: float) -> bool:
@@ -413,23 +391,21 @@ def converged_integrator(
 ) -> PacketIntegrator:
     """A rule whose density at the probe ``(z, t)`` is stable to ``tol``, checked downward.
 
-    ``integrator`` is the rule to keep, already built from a start within
-    :func:`check_gate_start`'s limit (a gated scan passes the rule it
+    ``integrator`` is the rule to keep (a gated scan passes the rule it
     evaluated its grid on); by default it is the graded rule of ``nodes``
-    with every panel split, built after that limit is checked.  Its probe
-    density is compared with that of its pairwise-merged rule, which
-    coarsens every panel, the graded ones at the window edge too (for the
-    default, exactly the rule of ``nodes``); if the relative change is at
-    most ``tol``, that rule is returned.  A rule of an odd panel count (a
-    uniform rule of an odd ``nodes // 64``) skips that check, since its
-    merged rule would share a panel with it.  Each check that fails, or is
-    skipped, splits every panel of the finer rule and compares again; no
-    table is built twice.  The gate splits no
-    rule into one of more than ``MAX_NODES`` nodes: when the next split
-    would exceed that, it raises :class:`ConvergenceError` that names the
-    largest rule compared and carries its density as the estimate.  (The
-    default's kept rule is built whole: for a graded start near the limit
-    it has somewhat more than ``MAX_NODES`` nodes.)
+    with every panel split, and a ``nodes`` above ``MAX_NODES // 2``, whose
+    split would exceed ``MAX_NODES``, is refused with ``ValueError`` before
+    any rule is built.  The kept rule's probe density is compared with that
+    of its pairwise-merged rule, which coarsens every panel, the graded
+    ones at the window edge too (for the default, exactly the rule of
+    ``nodes``); if the relative change is at most ``tol``, that rule is
+    returned.  Each check that fails splits every panel of the finer rule
+    and compares again; no table is built twice.  The gate splits no rule
+    into one of more than ``MAX_NODES`` nodes: when the next split would
+    exceed that, it raises :class:`ConvergenceError` that names the
+    largest rule compared and carries its density as the estimate.  (A
+    rule is built whole: from a start near the limit it has somewhat more
+    than ``MAX_NODES`` nodes.)
 
     Before any other rule is built, the relative rounding floor of the
     kept rule's probe density is estimated as
@@ -443,7 +419,11 @@ def converged_integrator(
     """
     rule = integrator
     if rule is None:
-        check_gate_start(nodes)
+        if nodes > MAX_NODES // 2:
+            raise ValueError(
+                f"the gate's default start needs nodes <= MAX_NODES // 2 = {MAX_NODES // 2}, "
+                f"got {nodes}"
+            )
         rule = PacketIntegrator(spec, cfg, _edges=_split(_graded_edges(spec, cfg, nodes)))
     g, f = rule.amplitudes(z, [t])
     density = float(_modulus2(g, f)[0])
@@ -456,10 +436,9 @@ def converged_integrator(
                 f"rounding floor {floor:.2g} of the probe density",
                 estimate=density,
             )
-    if (rule._edges.size - 1) % 2 == 0:
-        merged = PacketIntegrator(spec, cfg, _edges=_merged(rule._edges))
-        if _agree(density, float(merged.density(z, [t])[0]), tol):
-            return rule
+    merged = PacketIntegrator(spec, cfg, _edges=_merged(rule._edges))
+    if _agree(density, float(merged.density(z, [t])[0]), tol):
+        return rule
     while 2 * rule.nodes <= MAX_NODES:
         rule = PacketIntegrator(spec, cfg, _edges=_split(rule._edges))
         finer = float(rule.density(z, [t])[0])

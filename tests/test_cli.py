@@ -24,7 +24,6 @@ from dirac_tunnel.wavepacket import (
     MAX_NODES,
     PacketIntegrator,
     PacketSpec,
-    converged_integrator,
     filter_stats,
     filtered_distributions,
     momentum_weight,
@@ -265,39 +264,33 @@ class TestMainErrors:
         assert code == 2
 
     def test_start_nodes_the_gate_cannot_double(self, tmp_path, capsys):
-        code = main(["run", "--scenario", "fig3_times", "--out", str(tmp_path),
-                     "--set", "geometry.L=10", "--set", "numerics.nodes=40000"])
-        assert code == 2
-        assert "numerics.nodes" in capsys.readouterr().err
-        assert not (tmp_path / "manifest.json").exists()
+        for scenario in SCENARIOS:
+            out = tmp_path / scenario
+            code = main(["run", "--scenario", scenario, "--out", str(out),
+                         "--set", f"numerics.nodes={MAX_NODES + 64}"])
+            assert code == 2
+            assert "numerics.nodes" in capsys.readouterr().err
+            assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_node_ceiling_applies_to_gated_scenarios(self, scenario):
-        overrides = {("numerics", "nodes"): str(MAX_NODES // 2 + 64)}
-        if scenario == "fig1_filter":
-            # the filter statistics run a fixed rule, no gate
+        # one range for every scenario: a multiple of 64 from 64 to MAX_NODES
+        for nodes in (64, MAX_NODES):
+            overrides = {("numerics", "nodes"): str(nodes)}
             assert validate_config({}, scenario, overrides=overrides)
-        else:
-            with pytest.raises(ConfigError):
-                validate_config({}, scenario, overrides=overrides)
-        overrides = {("numerics", "nodes"): str(MAX_NODES // 2)}
-        assert validate_config({}, scenario, overrides=overrides)
+        overrides = {("numerics", "nodes"): str(MAX_NODES + 64)}
+        with pytest.raises(ConfigError, match="numerics.nodes"):
+            validate_config({}, scenario, overrides=overrides)
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-14])
     def test_accepted_nodes_never_raise_value_error_once_built(self, monkeypatch, tol):
-        # The CLI and a gated scan state one limit: the largest start the
-        # CLI accepts builds its rule, after which the gate compares it with
-        # at least one other rule and keeps a rule or runs out of nodes
-        # (ConvergenceError), never refuses the start.
-        nodes = MAX_NODES // 2
+        # The largest start the CLI accepts builds its rule, after which the
+        # gate compares it with its merged rule and keeps it or runs out of
+        # nodes (ConvergenceError), never refuses the start.
+        nodes = MAX_NODES
         cfg = BarrierConfig(v0=1.0, width=100.0)
         spec = PacketSpec.for_barrier(cfg, p0=math.sqrt(3.0) / 2.0, d=10.0)
         assert validate_config({}, "table1", overrides={("numerics", "nodes"): str(nodes)})
-        with pytest.raises(ConfigError) as rejected:
-            validate_config({}, "table1", overrides={("numerics", "nodes"): str(nodes + 64)})
-        with pytest.raises(ValueError) as refused:
-            scan_peaks(100.0, (30.0, 40.0), spec, cfg, nodes=nodes + 64, tol=tol)
-        assert str(refused.value) in str(rejected.value)
         tables = []
         init = PacketIntegrator.__init__
 
@@ -306,17 +299,16 @@ class TestMainErrors:
             tables.append(integrator.nodes)
 
         monkeypatch.setattr(PacketIntegrator, "__init__", spy)
-        for gated in (
-            lambda: scan_peaks(100.0, (30.0, 40.0), spec, cfg, nodes=nodes, tol=tol),
-            lambda: converged_integrator(spec, cfg, z=100.0, t=36.25, tol=tol, nodes=nodes),
-        ):
-            tables.clear()
-            try:
-                gated()
-            except ConvergenceError as exc:
-                assert "the largest rule compared has" in str(exc)
-            # the rule kept and at least one rule it was compared with
-            assert len(tables) >= 2
+        if tol == 1e-8:
+            records = scan_peaks(100.0, (30.0, 40.0), spec, cfg, nodes=nodes, tol=tol)
+            assert records
+        else:
+            # the graded rule of MAX_NODES at L = 100 has 65920 nodes
+            message = "the largest rule compared has 65920 nodes"
+            with pytest.raises(ConvergenceError, match=message):
+                scan_peaks(100.0, (30.0, 40.0), spec, cfg, nodes=nodes, tol=tol)
+        # the rule kept and its merged rule, no other
+        assert tables == [65920, 32960]
 
     @pytest.mark.parametrize("spec", ["10:5:1", "10:20", "a:b:c", "0:10:0", "0:10:nan",
                                       "nan:10:1", "0:inf:1", "4:8:inf"])

@@ -39,6 +39,9 @@ REMOVED = [
     "incident_density",
     "_cached_integrator",
     "_workers",
+    "check_gate_start",
+    "_composite_rule",
+    "_uniform_edges",
 ]
 
 

@@ -146,19 +146,6 @@ class TestScanBehavior:
         t_b = [r for r in b if r.kind is PeakKind.CENTRAL_MAX][0].time
         assert abs(t_a - t_b) <= 1e-3
 
-    def test_gated_start_above_half_the_ceiling_is_refused_before_building(self, monkeypatch):
-        built = []
-        init = PacketIntegrator.__init__
-
-        def spy(integrator, *args, **kwargs):
-            built.append(kwargs.get("nodes"))
-            init(integrator, *args, **kwargs)
-
-        monkeypatch.setattr(PacketIntegrator, "__init__", spy)
-        with pytest.raises(ValueError, match="MAX_NODES"):
-            scan_peaks(10.0, (-20.0, 20.0), SPEC, barrier(10.0), nodes=40000, tol=1e-8)
-        assert built == []
-
     def test_refinement_lands_on_a_derivative_root(self, fringe_scan):
         # every extremum the grid brackets is a root of d|psi|^2/dt to a
         # small fraction of a Newton step on its own rule
