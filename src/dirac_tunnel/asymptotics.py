@@ -144,14 +144,14 @@ def peak_functional(
         P(t) = | s2 - [(a2 t)^2 s6 + a1^2 s4] / 2 + a1 a2 t s5
                  + i (a2 t s4 - a1 s3) |^2.
 
-    Scalar or array ``t``; the mass of the moments is recovered from
-    ``coeffs.a2 = 1 / (2 mass)``.  The absolute scale is arbitrary; only the
-    position of the maximum carries physics.
+    Scalar ``t`` in, numpy float out; arrays map elementwise.  The mass of
+    the moments is recovered from ``coeffs.a2 = 1 / (2 mass)``.  The
+    absolute scale is arbitrary; only the position of the maximum carries
+    physics.
     """
     x, y = _envelope(width, coeffs, mode)
-    t_arr = np.asarray(t, dtype=float)
-    out = x(t_arr) ** 2 + y(t_arr) ** 2
-    return float(out) if t_arr.ndim == 0 else out
+    t = np.asarray(t, dtype=float)
+    return (x(t) ** 2 + y(t) ** 2)[()]
 
 
 def _expansion_coefficients(width, coeffs, mode):

@@ -463,9 +463,9 @@ def _peaks(config, emitter, spec, scan, curves=False):
             peak_rows.append((width, rec.kind.value, rec.time, rec.density))
         if curves:
             t_axis = scan_grid(scan["t_range"], scan["step"])
-            grid = transmitted_density(z, t_axis, spec, cfg, nodes=n.nodes)
+            values = transmitted_density(z, t_axis, spec, cfg, nodes=n.nodes)
             name = f"density_L{_width_tag(width)}.csv"
-            emitter.table(name, ["t", "density"], [grid.axis, grid.values], width)
+            emitter.table(name, ["t", "density"], [t_axis, values], width)
     emitter.table("peaks.csv", ["L", "kind", "t_peak", "density"], zip(*peak_rows))
 
 

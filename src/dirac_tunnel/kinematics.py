@@ -148,7 +148,7 @@ def evanescent_rho(p, cfg: BarrierConfig):
     endpoints included; there the interior wave behaves as exp(-rho z).
     Momenta outside that zone raise :class:`EnergyZoneError` naming the zone
     they actually fall in.  The identity rho^2 + (E - v0)^2 = mass^2 holds on
-    the whole window.
+    the whole window.  Scalar in, numpy float out; arrays map elementwise.
     """
     p_arr = np.asarray(p, dtype=float)
     energy = total_energy(p_arr, cfg.mass)
@@ -165,7 +165,4 @@ def evanescent_rho(p, cfg: BarrierConfig):
             f"Dirac tunneling window of barrier v0={cfg.v0}",
             zone=zone,
         )
-    rho = np.sqrt(np.clip(radicand, 0.0, None))
-    if p_arr.ndim == 0:
-        return float(rho)
-    return rho
+    return np.sqrt(np.clip(radicand, 0.0, None))[()]

@@ -58,7 +58,7 @@ def _scaled_denominator(p, cfg: BarrierConfig):
 
         e^{-rho L} D = p (1 + e^{-2 rho L}) / 2 - i (p^2 - v0 E) L q(rho L),
 
-    finite at every width.  ``p`` is a 1-d array.
+    finite at every width.  ``p`` is an array of any shape, 0-d included.
     """
     rho = evanescent_rho(p, cfg)
     L = float(cfg.width)
@@ -72,7 +72,7 @@ def _scaled_denominator(p, cfg: BarrierConfig):
 def transmission_amplitude(p, cfg: BarrierConfig):
     """Transmitted amplitude t(p) for momenta in the evanescent window.
 
-    Scalar in, complex out; arrays map elementwise.  The closed form
+    Scalar in, numpy complex out; arrays map elementwise.  The closed form
 
         t = p e^{-ipL} / [p cosh(rho L) - i (p^2 - v0 E) L sinh(rho L)/(rho L)]
 
@@ -81,16 +81,12 @@ def transmission_amplitude(p, cfg: BarrierConfig):
     divided out of numerator and denominator, so it stays exact at every
     opacity, down to the underflow of t itself.
     """
-    p_arr = np.asarray(p, dtype=float)
-    scalar = p_arr.ndim == 0
-    p1 = np.atleast_1d(p_arr)
+    p = np.asarray(p, dtype=float)
     if cfg.width == 0.0:
         # the scaled form is 0/0 at p = 0 here
-        out = np.ones(p1.shape, dtype=complex)
-    else:
-        decay, re, im = _scaled_denominator(p1, cfg)
-        out = p1 * decay * np.exp(-1j * p1 * cfg.width) / (re + 1j * im)
-    return complex(out[0]) if scalar else out
+        return np.ones(p.shape, dtype=complex)[()]
+    decay, re, im = _scaled_denominator(p, cfg)
+    return (p * decay * np.exp(-1j * p * cfg.width) / (re + 1j * im))[()]
 
 
 def transmission_phase(p, cfg: BarrierConfig):
@@ -101,14 +97,11 @@ def transmission_phase(p, cfg: BarrierConfig):
         tan(theta) = (p^2 - v0 E) L tanh(rho L) / (rho L p),
 
     so theta lies in [-pi/2, pi/2), reaching -pi/2 at p -> 0 where the
-    numerator stays negative.  Vanishes identically at L = 0.
+    numerator stays negative.  Vanishes identically at L = 0.  Scalar in,
+    numpy float out; arrays map elementwise.
     """
-    p_arr = np.asarray(p, dtype=float)
-    scalar = p_arr.ndim == 0
-    p1 = np.atleast_1d(p_arr)
-    _, re, im = _scaled_denominator(p1, cfg)
-    out = np.arctan2(-im, re)
-    return float(out[0]) if scalar else out
+    _, re, im = _scaled_denominator(np.asarray(p, dtype=float), cfg)
+    return np.arctan2(-im, re)[()]
 
 
 def opaque_transmission_magnitude(p, cfg: BarrierConfig):
@@ -116,13 +109,11 @@ def opaque_transmission_magnitude(p, cfg: BarrierConfig):
 
     Exact up to relative corrections O(exp(-2 rho L)): the combination
     p^2 rho^2 + (p^2 - v0 E)^2 equals (mass v0)^2 identically on the window.
+    Scalar in, numpy float out; arrays map elementwise.
     """
-    p_arr = np.asarray(p, dtype=float)
-    scalar = p_arr.ndim == 0
-    p1 = np.atleast_1d(p_arr)
-    rho = np.atleast_1d(np.asarray(evanescent_rho(p1, cfg)))
-    out = 2.0 * p1 * rho * np.exp(-rho * cfg.width) / (cfg.mass * cfg.v0)
-    return float(out[0]) if scalar else out
+    p = np.asarray(p, dtype=float)
+    rho = evanescent_rho(p, cfg)
+    return (2.0 * p * rho * np.exp(-rho * cfg.width) / (cfg.mass * cfg.v0))[()]
 
 
 def solve_matching(p, cfg: BarrierConfig) -> MatchingSolution:

@@ -51,7 +51,6 @@ from .scattering import transmission_amplitude
 
 __all__ = [
     "PacketSpec",
-    "DensityGrid",
     "FilterStats",
     "PacketIntegrator",
     "momentum_weight",
@@ -123,34 +122,14 @@ class FilterStats:
     transmitted_weight: float
 
 
-@dataclass(frozen=True)
-class DensityGrid:
-    """A sampled density curve: strictly increasing axis, non-negative values."""
-
-    axis: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        axis = np.asarray(self.axis, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if axis.ndim != 1 or values.ndim != 1 or axis.shape != values.shape:
-            raise ValueError("axis and values must be 1-d arrays of equal length")
-        if axis.size >= 2 and not np.all(np.diff(axis) > 0.0):
-            raise ValueError("axis must be strictly increasing")
-        if np.any(values < 0.0):
-            raise ValueError("densities cannot be negative")
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "values", values)
-
-
 def momentum_weight(p, spec: PacketSpec):
-    """Gaussian weight g(p), truncated to the window, peak value 1 at p0."""
+    """Gaussian weight g(p), truncated to the window, peak value 1 at p0.
+
+    Scalar in, numpy float out; arrays map elementwise.
+    """
     p_arr = np.asarray(p, dtype=float)
     g = np.exp(-((p_arr - spec.p0) ** 2) * spec.d**2 / 4.0)
-    out = np.where((p_arr >= spec.p_min) & (p_arr <= spec.p_max), g, 0.0)
-    if p_arr.ndim == 0:
-        return float(out)
-    return out
+    return np.where((p_arr >= spec.p_min) & (p_arr <= spec.p_max), g, 0.0)[()]
 
 
 def _graded_edges(spec: PacketSpec, cfg: BarrierConfig | None, nodes: int) -> np.ndarray:
@@ -229,7 +208,8 @@ class PacketIntegrator:
 
     The rule is the graded rule of uniform base ``nodes``, a positive
     multiple of 64 (see the module docstring); ``self.nodes`` holds its
-    node count.
+    node count.  Every evaluation returns arrays over its axis of times
+    or positions; a scalar axis is an axis of one point.
     """
 
     def __init__(
@@ -263,10 +243,11 @@ class PacketIntegrator:
         """Every row of ``fixed @ exp(rows x cols)``, by a factorized phase block.
 
         ``fixed`` stacks R coefficient rows (shape ``(R, N)``); the result
-        has shape ``(R, K)`` for the ``K`` points of ``cols``.  On an
-        evenly spaced axis ``x_k = x_0 + k h`` the phase splits at the fine
-        block length ``b`` (:func:`_fine_offsets`) as
-        ``exp(r x_{ab+j}) = exp(r x_{ab}) exp(r j h)``: the fine block
+        has shape ``(R, K)`` for the ``K`` points of ``cols``, a scalar
+        ``cols`` being an axis of one point.  On an evenly spaced axis
+        ``x_k = x_0 + k h`` the phase splits at the fine block length ``b``
+        (:func:`_fine_offsets`) as ``exp(r x_{ab+j}) = exp(r x_{ab}) exp(r j
+        h)``: the fine block
         ``fixed * exp(rows x jh)`` (``N x b`` per row) is built once, and
         each chunk of ``_TIME_CHUNK // b`` coarse columns ``exp(rows x
         x_{ab})`` is contracted with it in one matrix product.  A K-point
@@ -276,6 +257,7 @@ class PacketIntegrator:
         4 points, gets ``b = 1``: every column is a coarse column and the
         sum is the plain matrix-vector product of ``exp(rows x cols)``.
         """
+        cols = np.atleast_1d(np.asarray(cols, dtype=float))
         offsets = _fine_offsets(cols)
         b = offsets.size
         weighted = fixed[:, :, None] * np.exp(rows[:, None] * offsets[None, :])
@@ -290,7 +272,6 @@ class PacketIntegrator:
 
     def amplitudes(self, z: float, ts):
         """Large and small component amplitudes at position z over times ts."""
-        ts = np.asarray(ts, dtype=float)
         phase_z = np.exp(1j * self.p * float(z))
         g, f = self._sum_over_nodes(self._coef * phase_z, -1j * self.energy, ts)
         return self._scale * g, self._scale * f
@@ -307,7 +288,6 @@ class PacketIntegrator:
         one contraction at every time; d|psi|^2/dt = 2 Re(g* g' + f* f') and
         d^2|psi|^2/dt^2 = 2 Re(g* g'' + f* f'') + 2 (|g'|^2 + |f'|^2).
         """
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
         rates = -1j * self.energy
         fixed = self._coef * np.exp(1j * self.p * float(z))
         stacked = np.concatenate((fixed, fixed * rates, fixed * rates**2))
@@ -318,7 +298,6 @@ class PacketIntegrator:
 
     def density_z(self, zs, t: float):
         """|psi|^2 on a position grid at one time."""
-        zs = np.asarray(zs, dtype=float)
         evolve = np.exp(-1j * self.energy * float(t))
         g, f = self._sum_over_nodes(self._coef * evolve, 1j * self.p, zs)
         return _modulus2(self._scale * g, self._scale * f)
@@ -326,11 +305,9 @@ class PacketIntegrator:
 
 def transmitted_density(
     z: float, t_axis, spec: PacketSpec, cfg: BarrierConfig, nodes: int = 2048
-) -> DensityGrid:
-    """Transmitted density over a time axis at fixed position."""
-    t_axis = np.asarray(t_axis, dtype=float)
-    eng = PacketIntegrator(spec, cfg, nodes=nodes)
-    return DensityGrid(axis=t_axis, values=eng.density(z, t_axis))
+) -> np.ndarray:
+    """Transmitted density at fixed position over a time axis, on the rule of ``nodes``."""
+    return PacketIntegrator(spec, cfg, nodes=nodes).density(z, t_axis)
 
 
 def filtered_distributions(p, spec: PacketSpec, cfg: BarrierConfig):
@@ -425,7 +402,7 @@ def converged_integrator(
                 f"got {nodes}"
             )
         rule = PacketIntegrator(spec, cfg, _edges=_split(_graded_edges(spec, cfg, nodes)))
-    g, f = rule.amplitudes(z, [t])
+    g, f = rule.amplitudes(z, t)
     density = float(_modulus2(g, f)[0])
     if density > 0.0:
         s0, s2 = rule._scale * np.sum(np.abs(rule._coef), axis=1)
@@ -436,18 +413,15 @@ def converged_integrator(
                 f"rounding floor {floor:.2g} of the probe density",
                 estimate=density,
             )
-    merged = PacketIntegrator(spec, cfg, _edges=_merged(rule._edges))
-    if _agree(density, float(merged.density(z, [t])[0]), tol):
-        return rule
-    while 2 * rule.nodes <= MAX_NODES:
+    coarse = float(PacketIntegrator(spec, cfg, _edges=_merged(rule._edges)).density(z, t)[0])
+    while not _agree(density, coarse, tol):
+        if 2 * rule.nodes > MAX_NODES:
+            raise ConvergenceError(
+                f"density at probe (z={z}, t={t}) did not stabilize to {tol:g}: the "
+                f"largest rule compared has {rule.nodes} nodes, and its split would "
+                f"exceed the ceiling of {MAX_NODES}",
+                estimate=density,
+            )
         rule = PacketIntegrator(spec, cfg, _edges=_split(rule._edges))
-        finer = float(rule.density(z, [t])[0])
-        if _agree(finer, density, tol):
-            return rule
-        density = finer
-    raise ConvergenceError(
-        f"density at probe (z={z}, t={t}) did not stabilize to {tol:g}: the "
-        f"largest rule compared has {rule.nodes} nodes, and its split would "
-        f"exceed the ceiling of {MAX_NODES}",
-        estimate=density,
-    )
+        coarse, density = density, float(rule.density(z, t)[0])
+    return rule

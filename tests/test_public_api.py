@@ -1,9 +1,11 @@
 """The public surface: the package exports a frozen set of names, the union of its
-library modules' `__all__`; every exported name resolves, removed names stay gone."""
+library modules' `__all__`; every exported name resolves, removed names stay gone;
+the elementwise functions share numpy's scalar-in, scalar-out convention."""
 
 import importlib
 import inspect
 
+import numpy as np
 import pytest
 
 import dirac_tunnel
@@ -11,12 +13,20 @@ from dirac_tunnel import (
     PacketIntegrator,
     PacketSpec,
     converged_integrator,
+    evanescent_rho,
+    group_velocity,
     maximize_peak_functional,
+    momentum_weight,
     numeric_tunneling_time,
+    opaque_transmission_magnitude,
     peak_functional,
     scan_peaks,
+    series_coefficients,
     solve_matching,
+    total_energy,
     transit_measure,
+    transmission_amplitude,
+    transmission_phase,
 )
 from dirac_tunnel import cli, transit
 from dirac_tunnel.kinematics import BarrierConfig
@@ -42,12 +52,13 @@ REMOVED = [
     "check_gate_start",
     "_composite_rule",
     "_uniform_edges",
+    "DensityGrid",
 ]
 
 
 PACKAGE_SURFACE = [
     "BarrierConfig", "ConfigError", "ConvergenceError", "DegenerateWeightError",
-    "DensityGrid", "DiracTunnelError", "EnergyZone", "EnergyZoneError", "FilterStats",
+    "DiracTunnelError", "EnergyZone", "EnergyZoneError", "FilterStats",
     "MatchingSolution", "NumericalDegeneracyError", "OpaqueSolution", "PacketIntegrator",
     "PacketSpec", "PeakKind", "PeakRecord", "SeriesCoefficients", "TransitReport",
     "UnsupportedRegimeError", "__version__", "classify_zone", "converged_integrator",
@@ -127,3 +138,33 @@ def test_scan_calls_the_gate_through_its_module_name(monkeypatch):
     cfg = BarrierConfig(v0=1.0, width=10.0, mass=1.0)
     transit.scan_peaks(10.0, (0.0, 20.0), spec, cfg, step=1.0, tol=1e-6)
     assert calls == [1e-6]
+
+
+_CFG = BarrierConfig(v0=1.0, width=10.0)
+_SPEC = PacketSpec.for_barrier(_CFG, p0=3.0**0.5 / 2.0, d=10.0)
+
+# each elementwise function of one argument, at an interior point of its domain
+ELEMENTWISE = {
+    "total_energy": (total_energy, 0.8),
+    "group_velocity": (group_velocity, 0.8),
+    "momentum_weight": (lambda p: momentum_weight(p, _SPEC), 0.8),
+    "evanescent_rho": (lambda p: evanescent_rho(p, _CFG), 0.8),
+    "transmission_amplitude": (lambda p: transmission_amplitude(p, _CFG), 0.8),
+    "transmission_phase": (lambda p: transmission_phase(p, _CFG), 0.8),
+    "opaque_transmission_magnitude": (lambda p: opaque_transmission_magnitude(p, _CFG), 0.8),
+    "peak_functional": (
+        lambda t: peak_functional(t, 10.0, series_coefficients(BarrierConfig(v0=1.0, width=0.0))),
+        3.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ELEMENTWISE)
+def test_scalar_in_scalar_out(name):
+    fn, x = ELEMENTWISE[name]
+    scalar = fn(x)
+    array = fn(np.array([0.5 * x, x]))
+    assert np.ndim(scalar) == 0
+    assert isinstance(scalar, (float, complex))
+    assert array.shape == (2,)
+    assert scalar == array[1]

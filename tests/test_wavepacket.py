@@ -8,7 +8,6 @@ from dirac_tunnel import (
     BarrierConfig,
     ConvergenceError,
     DegenerateWeightError,
-    DensityGrid,
     PacketIntegrator,
     PacketSpec,
     converged_integrator,
@@ -177,6 +176,22 @@ class TestFactorizedKernel:
         eng = PacketIntegrator(SPEC, None)
         phase = np.exp(1j * np.outer(eng.p, zs) - 1j * np.outer(eng.energy, np.full_like(zs, 30.0)))
         self.assert_close(eng.density_z(zs, 30.0), direct_density(eng, phase))
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda eng, x: (eng.density(10.0, x),),
+            lambda eng, x: eng.amplitudes(10.0, x),
+            lambda eng, x: (eng.density_z(x, 2.0),),
+            lambda eng, x: eng.density_dt(10.0, x),
+        ],
+        ids=["density", "amplitudes", "density_z", "density_dt"],
+    )
+    def test_scalar_axis_is_a_one_point_axis(self, evaluate):
+        eng = PacketIntegrator(SPEC, barrier(10.0))
+        for scalar, one in zip(evaluate(eng, 2.0), evaluate(eng, [2.0])):
+            assert scalar.shape == (1,)
+            assert np.array_equal(scalar, one)
 
 
 def central_differences(eng, z, t, h):
@@ -359,22 +374,12 @@ class TestFilterStats:
             filter_stats(narrow, barrier(400.0))
 
 
-class TestDensityGrid:
+class TestTransmittedDensity:
     def test_round_trip(self):
         cfg = barrier(10.0)
         ts = np.linspace(0.0, 4.0, 9)
-        grid = transmitted_density(10.0, ts, SPEC, cfg)
-        eng = PacketIntegrator(SPEC, cfg)
-        assert np.allclose(grid.values, eng.density(10.0, ts), rtol=1e-12)
-        assert np.array_equal(grid.axis, ts)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DensityGrid(axis=np.array([0.0, 0.0]), values=np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            DensityGrid(axis=np.array([0.0, 1.0]), values=np.array([1.0, -1.0]))
-        with pytest.raises(ValueError):
-            DensityGrid(axis=np.array([0.0, 1.0]), values=np.array([1.0]))
+        values = transmitted_density(10.0, ts, SPEC, cfg)
+        assert np.array_equal(values, PacketIntegrator(SPEC, cfg).density(10.0, ts))
 
 
 class TestConvergence:
