@@ -33,9 +33,10 @@ A curve is the sum over the N nodes of the coefficients times the phase
 (the scan grids in time, position grids) the phase block factorizes into a
 coarse and a fine block of about sqrt(K) columns each, the chirp-z
 factorization of Rabiner, Schafer and Rader (1969), so a curve costs about
-``2 N sqrt(K)`` complex exps and one matrix product per chunk instead of
-``N K`` exps; other grids, and axes of fewer than four points, take the
-direct sum (see ``PacketIntegrator._sum_over_nodes``).
+``2 N sqrt(K)`` unit phases (each a cos and a sin of a real argument,
+written in place) and one matrix product per chunk instead of ``N K``
+phases; other grids, and axes of fewer than four points, take the direct
+sum (see ``PacketIntegrator._sum_over_nodes``).
 """
 
 from __future__ import annotations
@@ -193,6 +194,15 @@ def _fine_offsets(axis: np.ndarray) -> np.ndarray:
     return h * np.arange(min(math.isqrt(k), _TIME_CHUNK))
 
 
+def _unit_phase(freqs, xs):
+    """exp(i freqs x xs) of real ``freqs`` and ``xs``, by cos and sin filled in place."""
+    out = np.empty(np.shape(freqs) + np.shape(xs), dtype=complex)
+    arg = np.multiply.outer(freqs, xs, out=out.imag)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=arg)
+    return out
+
+
 def _modulus2(g, f):
     """Spinor density |g|^2 + |f|^2 of the two component amplitudes."""
     return (g * np.conj(g) + f * np.conj(f)).real
@@ -239,41 +249,41 @@ class PacketIntegrator:
 
     # -- core evaluation ---------------------------------------------------
 
-    def _sum_over_nodes(self, fixed, rows, cols):
-        """Every row of ``fixed @ exp(rows x cols)``, by a factorized phase block.
+    def _sum_over_nodes(self, fixed, freqs, cols):
+        """Every row of ``fixed @ exp(i freqs x cols)``, by a factorized phase block.
 
-        ``fixed`` stacks R coefficient rows (shape ``(R, N)``); the result
-        has shape ``(R, K)`` for the ``K`` points of ``cols``, a scalar
-        ``cols`` being an axis of one point.  On an evenly spaced axis
+        ``fixed`` stacks R coefficient rows (shape ``(R, N)``), ``freqs`` the
+        N real phase rates (``-E`` on a time axis, ``p`` on a position axis);
+        the result has shape ``(R, K)`` for the ``K`` points of ``cols``, a
+        scalar ``cols`` being an axis of one point.  On an evenly spaced axis
         ``x_k = x_0 + k h`` the phase splits at the fine block length ``b``
-        (:func:`_fine_offsets`) as ``exp(r x_{ab+j}) = exp(r x_{ab}) exp(r j
-        h)``: the fine block
-        ``fixed * exp(rows x jh)`` (``N x b`` per row) is built once, and
-        each chunk of ``_TIME_CHUNK // b`` coarse columns ``exp(rows x
-        x_{ab})`` is contracted with it in one matrix product.  A K-point
-        axis then costs about ``2 N sqrt(K)`` complex exps instead of
+        (:func:`_fine_offsets`): the fine block ``fixed * exp(i freqs x jh)``
+        (``N x b`` per row) is built once, and each chunk of
+        ``_TIME_CHUNK // b`` coarse columns ``exp(i freqs x x_{ab})`` is
+        contracted with it in one matrix product.  A K-point axis then costs
+        about ``2 N sqrt(K)`` unit phases (:func:`_unit_phase`) instead of
         ``N K``, and no phase block larger than ``N x _TIME_CHUNK`` is
         materialized.  An axis that is not evenly spaced, or has fewer than
-        4 points, gets ``b = 1``: every column is a coarse column and the
-        sum is the plain matrix-vector product of ``exp(rows x cols)``.
+        4 points, gets ``b = 1`` and no fine block (it would be 1): every column
+        is coarse, and the sum is the matrix-vector product of ``exp(i freqs x cols)``.
         """
         cols = np.atleast_1d(np.asarray(cols, dtype=float))
         offsets = _fine_offsets(cols)
         b = offsets.size
-        weighted = fixed[:, :, None] * np.exp(rows[:, None] * offsets[None, :])
+        weighted = fixed[:, :, None] if b == 1 else fixed[:, :, None] * _unit_phase(freqs, offsets)
         starts = cols[::b]
         out = np.empty((fixed.shape[0], starts.size, b), dtype=complex)
         width = _TIME_CHUNK // b
         for i in range(0, starts.size, width):
             sl = slice(i, i + width)
-            coarse = np.exp(rows[:, None] * starts[None, sl])
+            coarse = _unit_phase(freqs, starts[sl])
             out[:, sl] = coarse.T @ weighted
         return out.reshape(fixed.shape[0], -1)[:, : cols.size]
 
     def amplitudes(self, z: float, ts):
         """Large and small component amplitudes at position z over times ts."""
-        phase_z = np.exp(1j * self.p * float(z))
-        g, f = self._sum_over_nodes(self._coef * phase_z, -1j * self.energy, ts)
+        phase_z = _unit_phase(self.p, float(z))
+        g, f = self._sum_over_nodes(self._coef * phase_z, -self.energy, ts)
         return self._scale * g, self._scale * f
 
     def density(self, z: float, ts):
@@ -289,17 +299,17 @@ class PacketIntegrator:
         d^2|psi|^2/dt^2 = 2 Re(g* g'' + f* f'') + 2 (|g'|^2 + |f'|^2).
         """
         rates = -1j * self.energy
-        fixed = self._coef * np.exp(1j * self.p * float(z))
+        fixed = self._coef * _unit_phase(self.p, float(z))
         stacked = np.concatenate((fixed, fixed * rates, fixed * rates**2))
-        a0, a1, a2 = self._scale * self._sum_over_nodes(stacked, rates, ts).reshape(3, 2, -1)
+        a0, a1, a2 = self._scale * self._sum_over_nodes(stacked, -self.energy, ts).reshape(3, 2, -1)
         first = (a0.conj() * a1).real.sum(axis=0)
         second = (a0.conj() * a2).real.sum(axis=0) + _modulus2(*a1)
         return _modulus2(*a0), 2.0 * first, 2.0 * second
 
     def density_z(self, zs, t: float):
         """|psi|^2 on a position grid at one time."""
-        evolve = np.exp(-1j * self.energy * float(t))
-        g, f = self._sum_over_nodes(self._coef * evolve, 1j * self.p, zs)
+        evolve = _unit_phase(-self.energy, float(t))
+        g, f = self._sum_over_nodes(self._coef * evolve, self.p, zs)
         return _modulus2(self._scale * g, self._scale * f)
 
 

@@ -177,6 +177,18 @@ class TestFactorizedKernel:
         phase = np.exp(1j * np.outer(eng.p, zs) - 1j * np.outer(eng.energy, np.full_like(zs, 30.0)))
         self.assert_close(eng.density_z(zs, 30.0), direct_density(eng, phase))
 
+    def test_wide_barrier_over_times(self, chunk):
+        # the transmitted peak at the downstream face of L = 800, t = 300.75,
+        # where the phases E t and p z reach about 800 and 1400
+        ts = 300.0 + 0.25 * (np.arange(801) - 400)
+        eng = PacketIntegrator(SPEC, barrier(800.0), nodes=4096)
+        want = np.concatenate([
+            direct_density(eng, np.exp(1j * np.outer(eng.p, np.full_like(part, 800.0))
+                                       - 1j * np.outer(eng.energy, part)))
+            for part in np.array_split(ts, 9)
+        ])
+        self.assert_close(eng.density(800.0, ts), want)
+
     @pytest.mark.parametrize(
         "evaluate",
         [
@@ -192,6 +204,21 @@ class TestFactorizedKernel:
         for scalar, one in zip(evaluate(eng, 2.0), evaluate(eng, [2.0])):
             assert scalar.shape == (1,)
             assert np.array_equal(scalar, one)
+
+
+class TestUnitPhase:
+    """exp(i freqs x xs) by cos and sin, against numpy's complex exp."""
+
+    def test_matches_complex_exp(self):
+        freqs = np.linspace(-2.0, 2.0, 257)
+        xs = np.linspace(-1000.0, 1000.0, 331)
+        want = np.exp(1j * np.multiply.outer(freqs, xs))
+        assert np.max(np.abs(wavepacket._unit_phase(freqs, xs) - want)) <= np.finfo(float).eps
+
+    def test_shapes(self):
+        freqs = np.linspace(0.0, 1.0, 5)
+        assert wavepacket._unit_phase(freqs, 3.0).shape == (5,)
+        assert wavepacket._unit_phase(freqs, np.arange(7.0)).shape == (5, 7)
 
 
 def central_differences(eng, z, t, h):
