@@ -149,6 +149,14 @@ def parse_config_text(text: str) -> dict[tuple[str, str], tuple[str, int]]:
     return entries
 
 
+_MAX_POINTS = 1_000_000  # of any axis (time grid, filter curve, sweep), counted before it is built
+
+
+def _check_points(what: str, count: float) -> None:
+    if count > _MAX_POINTS:
+        raise ConfigError(f"{what}: {count:.6g} points exceed the limit of {_MAX_POINTS}")
+
+
 def _parse_float(section, key, value, line):
     try:
         out = float(value)
@@ -284,6 +292,8 @@ def validate_config(
         )
     if not 0.0 < numerics.tolerance < 1.0:
         raise ConfigError(f"numerics.tolerance must lie in (0, 1), got {numerics.tolerance}")
+    if numerics.t_step > 0.0:
+        _check_points("numerics.t_step", (numerics.t_stop - numerics.t_start) / numerics.t_step + 1)
     try:
         scan_grid((numerics.t_start, numerics.t_stop), numerics.t_step)
     except ValueError as exc:
@@ -292,6 +302,7 @@ def validate_config(
         raise ConfigError(f"numerics.peak_floor must lie in (0, 1], got {numerics.peak_floor}")
     if numerics.curve_samples < 2:
         raise ConfigError(f"numerics.curve_samples must be at least 2, got {numerics.curve_samples}")
+    _check_points("numerics.curve_samples", numerics.curve_samples)
     if config.output.format not in ("csv", "json"):
         raise ConfigError(f"output.format must be csv or json, got {config.output.format!r}")
     return config
@@ -606,10 +617,11 @@ def _parse_sweep_range(text: str) -> str:
         raise ConfigError(f"--L expects finite start:stop:step, got {text!r}")
     if step <= 0.0 or stop < start:
         raise ConfigError(f"--L range is empty: {text!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    widths = [start + i * step for i in range(count)]
+    span = (stop - start) / step
+    _check_points("--L", span + 1.0)
+    count = int(math.floor(span + 1e-9)) + 1
     # exact values: sweep writes no per-width files, so no tag is needed
-    return ", ".join(repr(w) for w in widths)
+    return ", ".join(repr(start + i * step) for i in range(count))
 
 
 def _build_parser() -> argparse.ArgumentParser:

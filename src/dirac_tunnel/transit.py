@@ -67,14 +67,16 @@ class TransitReport:
 def _extremum(eng: PacketIntegrator, z: float, ts: np.ndarray, step: float):
     """(times, densities) of the extrema near grid times ``ts``, by Newton on d|psi|^2/dt.
 
-    All extrema are refined together, one ``density_dt`` call per round on
-    those still moving.  Iterates are clamped to one ``step`` around their
-    grid times; an extremum stops at its first step no smaller than the one
-    before (or zero), so steps strictly decrease and no tolerance is needed.
-    A root of the derivative is a maximum or a minimum alike.
+    All extrema are refined together on the ``density_dt`` rows, built once
+    at ``z``: one evaluation per round on those still moving.  Iterates are
+    clamped to one ``step`` around their grid times; an extremum stops at
+    its first step no smaller than the one before (or zero), so steps
+    strictly decrease and no tolerance is needed.  A root of the derivative
+    is a maximum or a minimum alike.
     """
     t = ts.astype(float)
-    density, first, second = eng.density_dt(z, t)
+    rows = eng._dt_rows(z)
+    density, first, second = eng._density_dt(rows, t)
     last = np.full(t.size, np.inf)
     moving = np.arange(t.size)
     while True:
@@ -86,7 +88,7 @@ def _extremum(eng: PacketIntegrator, z: float, ts: np.ndarray, step: float):
         if moving.size == 0:
             return t, density
         t[moving], last[moving] = t_next[shrinks], move[shrinks]
-        density[moving], first, second = eng.density_dt(z, t[moving])
+        density[moving], first, second = eng._density_dt(rows, t[moving])
 
 
 def scan_grid(t_range: tuple[float, float], step: float) -> np.ndarray:

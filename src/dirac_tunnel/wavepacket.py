@@ -32,11 +32,12 @@ A curve is the sum over the N nodes of the coefficients times the phase
 ``exp(i p z - i E t)`` at each of its K points.  On an evenly spaced grid
 (the scan grids in time, position grids) the phase block factorizes into a
 coarse and a fine block of about sqrt(K) columns each, the chirp-z
-factorization of Rabiner, Schafer and Rader (1969), so a curve costs about
-``2 N sqrt(K)`` unit phases (each a cos and a sin of a real argument,
-written in place) and one matrix product per chunk instead of ``N K``
-phases; other grids, and axes of fewer than four points, take the direct
-sum (see ``PacketIntegrator._sum_over_nodes``).
+factorization of Rabiner, Schafer and Rader (1969); each block is geometric
+along its columns, so doubling fills it from a few unit phases (a cos and a
+sin of a real argument, written in place).  Per node a curve costs about
+``2 log2(sqrt(K))`` unit phases and ``2 sqrt(K)`` complex products, plus
+one matrix product per chunk; other grids, and axes of fewer than four
+points, take the direct sum, a unit phase per point.
 """
 
 from __future__ import annotations
@@ -176,22 +177,21 @@ def _gauss_panels(edges: np.ndarray):
     return p, w
 
 
-def _fine_offsets(axis: np.ndarray) -> np.ndarray:
-    """Fine-block offsets ``j h``, ``j < b``, of the phase factorization on ``axis``.
+def _fine_block(axis: np.ndarray) -> tuple[float, int]:
+    """Step ``h`` and length ``b`` of the fine block of the phase factorization on ``axis``.
 
-    ``b = isqrt(K)`` (at most ``_TIME_CHUNK``) when the K points are evenly
-    spaced, that is when each lies within ``_EVEN_ULPS`` ulps of ``max|x|``
-    of the line through the first and last point; otherwise, or when
-    ``K < 4``, ``b = 1`` and the only offset is 0.
+    ``b = isqrt(K)`` (at most ``_TIME_CHUNK``) when the K points each lie within
+    ``_EVEN_ULPS`` ulps of ``max|x|`` of the line through the first and last
+    one; otherwise, or when ``K < 4``, ``b = 1`` and ``h = 0``.
     """
     k = axis.size
     if k < 4:
-        return np.zeros(1)
+        return 0.0, 1
     h = (axis[-1] - axis[0]) / (k - 1)
     drift = np.max(np.abs(axis - (axis[0] + h * np.arange(k))))
     if not drift <= _EVEN_ULPS * np.finfo(float).eps * np.max(np.abs(axis)):
-        return np.zeros(1)
-    return h * np.arange(min(math.isqrt(k), _TIME_CHUNK))
+        return 0.0, 1
+    return h, min(math.isqrt(k), _TIME_CHUNK)
 
 
 def _unit_phase(freqs, xs):
@@ -200,6 +200,21 @@ def _unit_phase(freqs, xs):
     arg = np.multiply.outer(freqs, xs, out=out.imag)
     np.cos(arg, out=out.real)
     np.sin(arg, out=arg)
+    return out
+
+
+def _phase_ladder(freqs, x0, h, k):
+    """Rows ``exp(i freqs x (x0 + j h))``, ``j < k``, by doubling from ``_unit_phase``.
+
+    Row 0 is the unit phase at x0, and rows n to 2n - 1 are rows 0 to n - 1
+    times the unit phase at ``n h``: each row a product of at most
+    ``ceil(log2 k) + 1`` unit phases, off by about that many eps (Higham 2002,
+    ch. 3) beyond the rounding of their arguments, ``eps/2 |freqs| (|x0| + j|h|)``.
+    """
+    out = np.empty((k, np.size(freqs)), dtype=complex)
+    out[0] = _unit_phase(freqs, x0)
+    for n in (1 << e for e in range((k - 1).bit_length())):
+        np.multiply(out[: min(n, k - n)], _unit_phase(freqs, n * h), out=out[n : 2 * n])
     return out
 
 
@@ -257,27 +272,30 @@ class PacketIntegrator:
         the result has shape ``(R, K)`` for the ``K`` points of ``cols``, a
         scalar ``cols`` being an axis of one point.  On an evenly spaced axis
         ``x_k = x_0 + k h`` the phase splits at the fine block length ``b``
-        (:func:`_fine_offsets`): the fine block ``fixed * exp(i freqs x jh)``
-        (``N x b`` per row) is built once, and each chunk of
-        ``_TIME_CHUNK // b`` coarse columns ``exp(i freqs x x_{ab})`` is
-        contracted with it in one matrix product.  A K-point axis then costs
-        about ``2 N sqrt(K)`` unit phases (:func:`_unit_phase`) instead of
-        ``N K``, and no phase block larger than ``N x _TIME_CHUNK`` is
-        materialized.  An axis that is not evenly spaced, or has fewer than
-        4 points, gets ``b = 1`` and no fine block (it would be 1): every column
-        is coarse, and the sum is the matrix-vector product of ``exp(i freqs x cols)``.
+        (:func:`_fine_block`): the fine block ``fixed * exp(i freqs x jh)`` is
+        built once, and each chunk of ``_TIME_CHUNK // b`` coarse columns
+        ``exp(i freqs x x_{ab})`` is contracted with it in one matrix product.
+        Both are phase ladders (:func:`_phase_ladder`): per node a K-point axis
+        costs about ``2 log2(sqrt(K))`` unit phases and ``2 sqrt(K)`` complex
+        products, plus one matrix product per chunk, instead of K unit phases,
+        and no block larger than ``N x _TIME_CHUNK`` is materialized.  An axis
+        that is not evenly spaced, or has fewer than 4 points, gets ``b = 1``
+        and no fine block (it would be 1): each column is a unit phase
+        (:func:`_unit_phase`) of its own.
         """
         cols = np.atleast_1d(np.asarray(cols, dtype=float))
-        offsets = _fine_offsets(cols)
-        b = offsets.size
-        weighted = fixed[:, :, None] if b == 1 else fixed[:, :, None] * _unit_phase(freqs, offsets)
+        h, b = _fine_block(cols)
+        weighted = fixed[:, :, None]
+        if b > 1:
+            weighted = weighted * _phase_ladder(freqs, 0.0, h, b).T
         starts = cols[::b]
         out = np.empty((fixed.shape[0], starts.size, b), dtype=complex)
         width = _TIME_CHUNK // b
         for i in range(0, starts.size, width):
             sl = slice(i, i + width)
-            coarse = _unit_phase(freqs, starts[sl])
-            out[:, sl] = coarse.T @ weighted
+            coarse = (_unit_phase(freqs, starts[sl]).T if b == 1
+                      else _phase_ladder(freqs, starts[i], b * h, starts[sl].size))
+            out[:, sl] = coarse @ weighted
         return out.reshape(fixed.shape[0], -1)[:, : cols.size]
 
     def amplitudes(self, z: float, ts):
@@ -298,10 +316,14 @@ class PacketIntegrator:
         one contraction at every time; d|psi|^2/dt = 2 Re(g* g' + f* f') and
         d^2|psi|^2/dt^2 = 2 Re(g* g'' + f* f'') + 2 (|g'|^2 + |f'|^2).
         """
-        rates = -1j * self.energy
+        return self._density_dt(self._dt_rows(z), ts)
+
+    def _dt_rows(self, z: float):
         fixed = self._coef * _unit_phase(self.p, float(z))
-        stacked = np.concatenate((fixed, fixed * rates, fixed * rates**2))
-        a0, a1, a2 = self._scale * self._sum_over_nodes(stacked, -self.energy, ts).reshape(3, 2, -1)
+        return np.concatenate((fixed, fixed * (-1j * self.energy), fixed * -self.energy**2))
+
+    def _density_dt(self, rows, ts):
+        a0, a1, a2 = self._scale * self._sum_over_nodes(rows, -self.energy, ts).reshape(3, 2, -1)
         first = (a0.conj() * a1).real.sum(axis=0)
         second = (a0.conj() * a2).real.sum(axis=0) + _modulus2(*a1)
         return _modulus2(*a0), 2.0 * first, 2.0 * second

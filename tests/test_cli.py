@@ -320,6 +320,51 @@ class TestMainErrors:
         assert main(["sweep", "--L", spec, "--out", str(tmp_path)]) == 2
         assert "error: --L expects finite start:stop:step" in capsys.readouterr().err
 
+    @staticmethod
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an oversized axis reached its allocation")
+
+    def test_oversized_time_grid_is_refused_before_it_is_built(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "scan_grid", self.unreachable)
+        code = main(["run", "--scenario", "fig3_times", "--set", "numerics.t_step=1e-12",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        message = "numerics.t_step: 2e+14 points exceed the limit of 1000000"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_oversized_filter_curve_is_refused_before_the_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_scenario", self.unreachable)
+        code = main(["run", "--scenario", "fig1_filter", "--set",
+                     "numerics.curve_samples=100000000000", "--out", str(tmp_path)])
+        assert code == 2
+        message = "numerics.curve_samples: 1e+11 points exceed the limit of 1000000"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("spec, count", [("0:1e12:1", "1e+12"), ("0:1:5e-324", "inf")])
+    def test_oversized_sweep_is_refused_before_its_widths_are_listed(
+        self, tmp_path, capsys, monkeypatch, spec, count
+    ):
+        # range() in cli would start listing the widths
+        monkeypatch.setattr(cli, "range", self.unreachable, raising=False)
+        monkeypatch.setattr(cli, "run_scenario", self.unreachable)
+        assert main(["sweep", "--L", spec, "--out", str(tmp_path)]) == 2
+        message = f"--L: {count} points exceed the limit of 1000000"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_axes_up_to_the_limit_are_accepted(self):
+        limit = cli._MAX_POINTS
+        grid = {("numerics", "t_start"): "0", ("numerics", "t_step"): "0.25"}
+        at = validate_config({}, "fig1_filter", overrides={
+            **grid, ("numerics", "t_stop"): repr(0.25 * (limit - 1)),
+            ("numerics", "curve_samples"): str(limit)})
+        assert at.numerics.curve_samples == limit
+        for key, value in [("t_stop", repr(0.25 * limit)), ("curve_samples", str(limit + 1))]:
+            with pytest.raises(ConfigError, match=f"points exceed the limit of {limit}$"):
+                validate_config({}, "fig1_filter", overrides={**grid, ("numerics", key): value})
+        assert cli._parse_sweep_range(f"0:{limit - 1}:1").count(",") == limit - 1
+        with pytest.raises(ConfigError, match=f"points exceed the limit of {limit}$"):
+            cli._parse_sweep_range(f"0:{limit}:1")
+
     def test_unwritable_output_directory(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")

@@ -45,15 +45,15 @@ SECONDARIES_10 = [
 
 
 def _spy_density_dt(monkeypatch):
-    """Record the number of times in each ``PacketIntegrator.density_dt`` call."""
+    """Record the number of times in each Newton round's ``density_dt`` evaluation."""
     sizes = []
-    density_dt = PacketIntegrator.density_dt
+    density_dt = PacketIntegrator._density_dt
 
-    def spy(integrator, z, ts):
+    def spy(integrator, rows, ts):
         sizes.append(np.size(ts))
-        return density_dt(integrator, z, ts)
+        return density_dt(integrator, rows, ts)
 
-    monkeypatch.setattr(PacketIntegrator, "density_dt", spy)
+    monkeypatch.setattr(PacketIntegrator, "_density_dt", spy)
     return sizes
 
 

@@ -18,6 +18,7 @@ from dirac_tunnel import (
     transmission_amplitude,
     transmitted_density,
 )
+from dirac_tunnel.transit import scan_grid
 
 P0 = math.sqrt(3.0) / 2.0
 D_WIDTH = 10.0
@@ -134,6 +135,27 @@ def direct_density(eng, phase):
     return np.abs(g) ** 2 + np.abs(f) ** 2
 
 
+LONG_DOUBLE = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="np.longdouble is no more precise than double here",
+)
+
+
+def long_double_density(eng, z, ts):
+    """|psi|^2 at z over ts by a cos/sin sum over the node table in np.longdouble."""
+    ld = np.longdouble
+    scale = ld(eng._scale)
+    re, im = eng._coef.real.astype(ld) * scale, eng._coef.imag.astype(ld) * scale
+    p, energy = eng.p.astype(ld)[:, None], eng.energy.astype(ld)[:, None]
+    parts = []
+    for part in np.array_split(np.asarray(ts, dtype=float), 9):
+        arg = p * ld(z) - energy * part.astype(ld)[None, :]
+        cos, sin = np.cos(arg), np.sin(arg)
+        real, imag = re @ cos - im @ sin, re @ sin + im @ cos
+        parts.append((real * real + imag * imag).sum(axis=0))
+    return np.concatenate(parts).astype(float)
+
+
 class TestFactorizedKernel:
     """density and density_z against a direct exp sum over the same nodes."""
 
@@ -151,15 +173,15 @@ class TestFactorizedKernel:
     def test_even_axes_are_factorized(self, k):
         axis = 2.0 + 0.25 * np.arange(k)
         expected = 1 if k < 4 else math.isqrt(k)
-        assert wavepacket._fine_offsets(axis).size == expected
+        assert wavepacket._fine_block(axis)[1] == expected
 
     def test_axis_even_to_an_ulp_is_factorized(self):
         axis = -100.0 + 0.25 * np.arange(801)
         axis[1::2] = np.nextafter(axis[1::2], np.inf)
-        assert wavepacket._fine_offsets(axis).size == 28
+        assert wavepacket._fine_block(axis)[1] == 28
 
     def test_uneven_axis_is_not_factorized(self):
-        assert wavepacket._fine_offsets(OFFSETS[-1]).size == 1
+        assert wavepacket._fine_block(OFFSETS[-1])[1] == 1
 
     @pytest.mark.parametrize("offsets", OFFSETS, ids=OFFSET_IDS)
     def test_density_over_times(self, chunk, offsets):
@@ -188,6 +210,25 @@ class TestFactorizedKernel:
             for part in np.array_split(ts, 9)
         ])
         self.assert_close(eng.density(800.0, ts), want)
+
+    @LONG_DOUBLE
+    @pytest.mark.parametrize(
+        "width, ts",
+        [
+            (10.0, scan_grid((-100.0, 100.0), 0.25)),
+            (15.0, scan_grid((-100.0, 100.0), 0.25)),
+            (100.0, scan_grid((-100.0, 100.0), 0.25)),
+            (800.0, scan_grid((100.0, 300.0), 0.25)),
+        ],
+        ids=["L10", "L15", "L100", "L800"],
+    )
+    def test_density_against_long_double(self, width, ts):
+        # the default 801-point scan grid at the downstream face, and the
+        # L = 800 peak on 801 points; the same node table summed in long double
+        eng = PacketIntegrator(SPEC, barrier(width))
+        want = long_double_density(eng, width, ts)
+        assert ts.size == 801
+        assert np.max(np.abs(eng.density(width, ts) - want)) <= 2e-15 * np.max(want)
 
     @pytest.mark.parametrize(
         "evaluate",
@@ -219,6 +260,38 @@ class TestUnitPhase:
         freqs = np.linspace(0.0, 1.0, 5)
         assert wavepacket._unit_phase(freqs, 3.0).shape == (5,)
         assert wavepacket._unit_phase(freqs, np.arange(7.0)).shape == (5, 7)
+
+
+class TestPhaseLadder:
+    """Phase ladders against a long-double phase of the same points.
+
+    Row j is a product of at most ``ceil(log2 k) + 1`` unit phases whose
+    arguments add up to ``freqs x (x0 + j h)``; their rounding is at most
+    ``eps/2 |freqs| (|x0| + j |h|)``, which for ``x0`` and ``h`` of one sign
+    is the rounding bound of the argument of a direct evaluation of that
+    point.  Each product adds about an eps.
+    """
+
+    # -E over the canonical window: |freqs| up to 2, so |freqs x| up to 2000
+    FREQS = -np.sqrt(1.0 + np.linspace(0.0, 3.0, 257))
+
+    @LONG_DOUBLE
+    @pytest.mark.parametrize("k", [1, 2, 3, 28, 29, 512])
+    @pytest.mark.parametrize(
+        "x0, h", [(0.0, 0.25), (0.0, -0.37), (2.5, 0.0), (-1000.0, 1.9531), (700.0, -0.9)]
+    )
+    def test_within_rounding_of_long_double(self, k, x0, h):
+        ladder = wavepacket._phase_ladder(self.FREQS, x0, h, k)
+        assert ladder.shape == (k, self.FREQS.size)
+        assert ladder[0].tobytes() == wavepacket._unit_phase(self.FREQS, x0).tobytes()
+        ld = np.longdouble
+        j = np.arange(k)[:, None]
+        arg = self.FREQS.astype(ld)[None, :] * (ld(x0) + j.astype(ld) * ld(h))
+        error = np.hypot((ladder.real - np.cos(arg)).astype(float),
+                         (ladder.imag - np.sin(arg)).astype(float))
+        eps = np.finfo(float).eps
+        rounding = 0.5 * eps * np.abs(self.FREQS)[None, :] * (abs(x0) + j * abs(h))
+        assert np.all(error <= rounding + (math.ceil(math.log2(k)) + 2) * eps)
 
 
 def central_differences(eng, z, t, h):
