@@ -54,6 +54,7 @@ from .errors import ConfigError, DiracTunnelError
 # (perfbench/tracer.py) wraps it under this module's name
 from .kinematics import BarrierConfig, momentum_window  # noqa: F401
 from .transit import (
+    _MAX_POINTS,
     numeric_tunneling_time,
     scan_grid,
     scan_peaks,
@@ -147,9 +148,6 @@ def parse_config_text(text: str) -> dict[tuple[str, str], tuple[str, int]]:
             raise ConfigError(f"duplicate key {section}.{key}", line=lineno)
         entries[(section, key)] = (value, lineno)
     return entries
-
-
-_MAX_POINTS = 1_000_000  # of any axis (time grid, filter curve, sweep), counted before it is built
 
 
 def _check_points(what: str, count: float) -> None:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .kinematics import BarrierConfig
 from .wavepacket import PacketIntegrator, PacketSpec, converged_integrator
+from .wavepacket import _TAYLOR_REACH, _series_density
 
 __all__ = [
     "PeakKind",
@@ -67,16 +68,21 @@ class TransitReport:
 def _extremum(eng: PacketIntegrator, z: float, ts: np.ndarray, step: float):
     """(times, densities) of the extrema near grid times ``ts``, by Newton on d|psi|^2/dt.
 
-    All extrema are refined together on the ``density_dt`` rows, built once
-    at ``z``: one evaluation per round on those still moving.  Iterates are
-    clamped to one ``step`` around their grid times; an extremum stops at
-    its first step no smaller than the one before (or zero), so steps
-    strictly decrease and no tolerance is needed.  A root of the derivative
-    is a maximum or a minimum alike.
+    Each round sums, for the extrema still moving, the Taylor series of
+    their amplitudes about their grid times (:meth:`PacketIntegrator._taylor`,
+    built together at ``z``, a unit phase per extremum).  An iterate beyond
+    the series' reach (``|E - E_c| |t - t0| <= _TAYLOR_REACH``) re-centres
+    its series on itself.  Iterates are clamped to one ``step`` around their
+    grid times; an extremum stops at its first step no smaller than the one
+    before (or zero), so steps strictly decrease and no tolerance is needed.
+    A root of the derivative is a maximum or a minimum alike.
     """
     t = ts.astype(float)
-    rows = eng._dt_rows(z)
-    density, first, second = eng._density_dt(rows, t)
+    centre = t.copy()
+    # |E - E_c| is at most half the span of the rule's energies
+    reach = _TAYLOR_REACH / (0.5 * np.ptp(eng.energy))
+    series = eng._taylor(z, centre)
+    density, first, second = _series_density(series, t - centre)
     last = np.full(t.size, np.inf)
     moving = np.arange(t.size)
     while True:
@@ -88,21 +94,36 @@ def _extremum(eng: PacketIntegrator, z: float, ts: np.ndarray, step: float):
         if moving.size == 0:
             return t, density
         t[moving], last[moving] = t_next[shrinks], move[shrinks]
-        density[moving], first, second = eng._density_dt(rows, t[moving])
+        far = moving[np.abs(t[moving] - centre[moving]) > reach]
+        if far.size:
+            centre[far] = t[far]
+            series[:, :, far] = eng._taylor(z, centre[far])
+        density[moving], first, second = _series_density(
+            series[:, :, moving], t[moving] - centre[moving]
+        )
+
+
+_MAX_POINTS = 1_000_000  # of any axis (time grid, filter curve, sweep), counted before it is built
 
 
 def scan_grid(t_range: tuple[float, float], step: float) -> np.ndarray:
     """The coarse time grid of a scan: ``t_range`` inclusive, spaced ``step``.
 
     Raises ``ValueError`` when the step is not positive and finite or the
-    range not finite, and when the range is empty or holds fewer than three
-    grid points, too few for an interior maximum.
+    range not finite, when the range is empty or holds fewer than three
+    grid points, too few for an interior maximum, and when it would hold
+    more than ``_MAX_POINTS`` (1,000,000), counted before the grid is built.
     """
     t_start, t_stop = float(t_range[0]), float(t_range[1])
     if not (0.0 < step < np.inf and np.isfinite([t_start, t_stop]).all()):
         raise ValueError(f"scan step {step} must be positive and the range {t_range} finite")
     if not t_stop > t_start:
         raise ValueError(f"empty time range {t_range}")
+    count = (t_stop - t_start) / step + 1
+    if count > _MAX_POINTS:
+        raise ValueError(
+            f"scan step {step} makes {count:.6g} grid points, over the limit of {_MAX_POINTS}"
+        )
     ts = np.arange(t_start, t_stop + 0.5 * step, step)
     if ts.size < 3:
         raise ValueError("time range shorter than three scan steps")
@@ -129,8 +150,11 @@ def scan_peaks(
     quadrature noise, and one grid minimum is taken between each adjacent
     pair of kept maxima.  These extrema are refined together by Newton's
     method on the density's time derivative from the same node table, each
-    within one ``step`` of its grid point.  A range too short for that grid
-    raises ``ValueError``.
+    within one ``step`` of its grid point, on a Taylor series in time about
+    it: a unit phase per node and extremum, and one more for an iterate
+    that leaves the series' reach (never at the default step).  A range too
+    short for that grid, or a grid of more than 1,000,000 points, raises
+    ``ValueError``.
 
     The grid is evaluated once, on the graded rule of ``nodes`` nodes.
     ``tol`` switches on the quadrature convergence gate

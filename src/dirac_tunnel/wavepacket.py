@@ -34,10 +34,15 @@ A curve is the sum over the N nodes of the coefficients times the phase
 coarse and a fine block of about sqrt(K) columns each, the chirp-z
 factorization of Rabiner, Schafer and Rader (1969); each block is geometric
 along its columns, so doubling fills it from a few unit phases (a cos and a
-sin of a real argument, written in place).  Per node a curve costs about
-``2 log2(sqrt(K))`` unit phases and ``2 sqrt(K)`` complex products, plus
-one matrix product per chunk; other grids, and axes of fewer than four
-points, take the direct sum, a unit phase per point.
+sin of a real argument, written in place): the doubling steps once per
+axis, and a start per chunk of coarse columns.  Per node a curve costs
+about ``2 log2(sqrt(K))`` unit phases, one per chunk and ``2 sqrt(K)``
+complex products, plus one matrix product per chunk; other grids, and axes
+of fewer than four points, take the direct sum, a unit phase per point.
+Near a single time t0 the amplitudes are a short Taylor series in t - t0
+(``PacketIntegrator._taylor``), whose terms cost one unit phase per node
+in all; the peak refinement and ``density_dt`` read densities and time
+derivatives from it.
 """
 
 from __future__ import annotations
@@ -68,6 +73,12 @@ _TIME_CHUNK = 512    # spacetime points per matrix block
 _EVEN_ULPS = 4       # spacing error, in ulps of max|x|, of an evenly spaced axis
 # Node ceiling of the convergence gate's splits
 MAX_NODES = 65536
+# Terms and reach of the Taylor series of the amplitudes in time
+# (PacketIntegrator._taylor): while |E - E_c| |t - t0| <= 1/2, the first
+# dropped terms of the amplitude and of its time derivative, 0.5**16 / 16!
+# = 7e-19 and 0.5**15 / 15! = 2e-17, lie below eps = 2.2e-16 of sum |c|
+_TAYLOR_TERMS = 16
+_TAYLOR_REACH = 0.5
 
 
 @dataclass(frozen=True)
@@ -194,28 +205,58 @@ def _fine_block(axis: np.ndarray) -> tuple[float, int]:
     return h, min(math.isqrt(k), _TIME_CHUNK)
 
 
-def _unit_phase(freqs, xs):
-    """exp(i freqs x xs) of real ``freqs`` and ``xs``, by cos and sin filled in place."""
+def _unit_phase(freqs, xs, shift=None):
+    """exp(i (shift + freqs x xs)) of real arguments, by cos and sin filled in place.
+
+    ``shift``, if given, holds one phase per rate of ``freqs``.
+    """
     out = np.empty(np.shape(freqs) + np.shape(xs), dtype=complex)
     arg = np.multiply.outer(freqs, xs, out=out.imag)
+    if shift is not None:
+        np.add(arg.T, shift, out=arg.T)
     np.cos(arg, out=out.real)
     np.sin(arg, out=arg)
     return out
 
 
-def _phase_ladder(freqs, x0, h, k):
-    """Rows ``exp(i freqs x (x0 + j h))``, ``j < k``, by doubling from ``_unit_phase``.
+def _ladder_steps(freqs, h, k):
+    """The unit phases at ``n h``, n = 1, 2, 4, ... below ``k``: the steps of a k-row ladder."""
+    return [_unit_phase(freqs, (1 << e) * h) for e in range((k - 1).bit_length())]
 
-    Row 0 is the unit phase at x0, and rows n to 2n - 1 are rows 0 to n - 1
-    times the unit phase at ``n h``: each row a product of at most
-    ``ceil(log2 k) + 1`` unit phases, off by about that many eps (Higham 2002,
-    ch. 3) beyond the rounding of their arguments, ``eps/2 |freqs| (|x0| + j|h|)``.
+
+def _phase_ladder(first, steps, k):
+    """Rows ``first x exp(i freqs x j h)``, ``j < k``, by doubling with ``steps``.
+
+    ``steps`` are the ladder steps at ``h`` (:func:`_ladder_steps`, of a
+    ladder of k rows or more, so one list serves every shorter ladder).  Row
+    0 is ``first``, and rows n to 2n - 1 are rows 0 to n - 1 times the step
+    at ``n h``: each row is ``first`` times a product of at most
+    ``ceil(log2 k)`` unit phases, off by about that many eps (Higham 2002,
+    ch. 3) beyond the rounding of their arguments, ``eps/2 |freqs| j|h|``.
     """
-    out = np.empty((k, np.size(freqs)), dtype=complex)
-    out[0] = _unit_phase(freqs, x0)
-    for n in (1 << e for e in range((k - 1).bit_length())):
-        np.multiply(out[: min(n, k - n)], _unit_phase(freqs, n * h), out=out[n : 2 * n])
+    out = np.empty((k, np.size(first)), dtype=complex)
+    out[0] = first
+    for e in range((k - 1).bit_length()):
+        n = 1 << e
+        np.multiply(out[: min(n, k - n)], steps[e], out=out[n : 2 * n])
     return out
+
+
+def _series_density(series, delta):
+    """|psi|^2 and its first two time derivatives at offsets ``delta`` from the times of ``series``.
+
+    ``series`` is :meth:`PacketIntegrator._taylor`'s.  With G, F its sums
+    ``sum_k M_k delta^k``, |psi|^2 = |G|^2 + |F|^2, d|psi|^2/dt = 2 Re(G* G'
+    + F* F') and d^2|psi|^2/dt^2 = 2 Re(G* G'' + F* F'') + 2 (|G'|^2 + |F'|^2).
+    """
+    k = np.arange(series.shape[0])[:, None, None]
+    powers = np.asarray(delta, dtype=float) ** k
+    value = (series * powers).sum(axis=0)
+    first = (series[1:] * (k[1:] * powers[:-1])).sum(axis=0)
+    second = (series[2:] * (k[2:] * (k[2:] - 1) * powers[:-2])).sum(axis=0)
+    slope = (value.conj() * first).real.sum(axis=0)
+    curve = (value.conj() * second).real.sum(axis=0) + _modulus2(*first)
+    return _modulus2(*value), 2.0 * slope, 2.0 * curve
 
 
 def _modulus2(g, f):
@@ -264,37 +305,43 @@ class PacketIntegrator:
 
     # -- core evaluation ---------------------------------------------------
 
-    def _sum_over_nodes(self, fixed, freqs, cols):
-        """Every row of ``fixed @ exp(i freqs x cols)``, by a factorized phase block.
+    def _sum_over_nodes(self, fixed, freqs, cols, shift=None):
+        """Every row of ``fixed @ exp(i (shift + freqs x cols))``, by a factorized phase block.
 
         ``fixed`` stacks R coefficient rows (shape ``(R, N)``), ``freqs`` the
-        N real phase rates (``-E`` on a time axis, ``p`` on a position axis);
+        N real phase rates (``-E`` on a time axis, ``p`` on a position axis)
+        and ``shift``, if given, N phases added to every point's argument;
         the result has shape ``(R, K)`` for the ``K`` points of ``cols``, a
         scalar ``cols`` being an axis of one point.  On an evenly spaced axis
         ``x_k = x_0 + k h`` the phase splits at the fine block length ``b``
         (:func:`_fine_block`): the fine block ``fixed * exp(i freqs x jh)`` is
         built once, and each chunk of ``_TIME_CHUNK // b`` coarse columns
-        ``exp(i freqs x x_{ab})`` is contracted with it in one matrix product.
-        Both are phase ladders (:func:`_phase_ladder`): per node a K-point axis
-        costs about ``2 log2(sqrt(K))`` unit phases and ``2 sqrt(K)`` complex
-        products, plus one matrix product per chunk, instead of K unit phases,
-        and no block larger than ``N x _TIME_CHUNK`` is materialized.  An axis
-        that is not evenly spaced, or has fewer than 4 points, gets ``b = 1``
-        and no fine block (it would be 1): each column is a unit phase
-        (:func:`_unit_phase`) of its own.
+        ``exp(i (shift + freqs x x_{ab}))`` is contracted with it in one
+        matrix product.  Both are phase ladders (:func:`_phase_ladder`), the
+        fine one from exact ones and each coarse one from a unit phase at its
+        chunk's start; the steps of both are built once per axis.  Per node
+        a K-point axis costs about ``2 log2(sqrt(K))`` unit phases plus one
+        per chunk, and ``2 sqrt(K)`` complex products, plus one matrix
+        product per chunk, instead of K unit phases, and no block larger
+        than ``N x _TIME_CHUNK`` is materialized.  An axis that is not evenly
+        spaced, or has fewer than 4 points, gets ``b = 1`` and no fine block
+        (it would be 1): each column is a unit phase (:func:`_unit_phase`)
+        of its own.
         """
         cols = np.atleast_1d(np.asarray(cols, dtype=float))
         h, b = _fine_block(cols)
+        starts = cols[::b]
+        width = min(_TIME_CHUNK // b, starts.size)
         weighted = fixed[:, :, None]
         if b > 1:
-            weighted = weighted * _phase_ladder(freqs, 0.0, h, b).T
-        starts = cols[::b]
+            ones = np.ones(np.size(freqs), dtype=complex)
+            weighted = weighted * _phase_ladder(ones, _ladder_steps(freqs, h, b), b).T
+            steps = _ladder_steps(freqs, b * h, width)
         out = np.empty((fixed.shape[0], starts.size, b), dtype=complex)
-        width = _TIME_CHUNK // b
         for i in range(0, starts.size, width):
             sl = slice(i, i + width)
-            coarse = (_unit_phase(freqs, starts[sl]).T if b == 1
-                      else _phase_ladder(freqs, starts[i], b * h, starts[sl].size))
+            first = _unit_phase(freqs, starts[sl] if b == 1 else starts[i], shift)
+            coarse = first.T if b == 1 else _phase_ladder(first, steps, starts[sl].size)
             out[:, sl] = coarse @ weighted
         return out.reshape(fixed.shape[0], -1)[:, : cols.size]
 
@@ -311,22 +358,34 @@ class PacketIntegrator:
     def density_dt(self, z: float, ts):
         """|psi|^2 and its first two time derivatives at z, as arrays over times ts.
 
-        The two coefficient rows, stacked with their ``-i E`` and ``-E^2``
-        multiples (d/dt of ``exp(-i E t)``), give g, f, g', f', g'', f'' in
-        one contraction at every time; d|psi|^2/dt = 2 Re(g* g' + f* f') and
-        d^2|psi|^2/dt^2 = 2 Re(g* g'' + f* f'') + 2 (|g'|^2 + |f'|^2).
+        Read at offset 0 from the three-term Taylor series about each time
+        (:meth:`_taylor`, :func:`_series_density`).
         """
-        return self._density_dt(self._dt_rows(z), ts)
+        return _series_density(self._taylor(z, ts, 3), 0.0)
 
-    def _dt_rows(self, z: float):
-        fixed = self._coef * _unit_phase(self.p, float(z))
-        return np.concatenate((fixed, fixed * (-1j * self.energy), fixed * -self.energy**2))
+    def _taylor(self, z: float, t0s, terms: int = _TAYLOR_TERMS):
+        """Taylor coefficients in ``delta = t - t0`` of the amplitudes at z about each of ``t0s``.
 
-    def _density_dt(self, rows, ts):
-        a0, a1, a2 = self._scale * self._sum_over_nodes(rows, -self.energy, ts).reshape(3, 2, -1)
-        first = (a0.conj() * a1).real.sum(axis=0)
-        second = (a0.conj() * a2).real.sum(axis=0) + _modulus2(*a1)
-        return _modulus2(*a0), 2.0 * first, 2.0 * second
+        Term k of component c about the K times ``t0s`` (shape
+        ``(terms, 2, K)``) is ``M_k = sum_n c_n exp(i((p_n - p_c) z - (E_n -
+        E_c) t0)) (-i(E_n - E_c))^k / k!``, with ``p_c`` and ``E_c`` the
+        midpoints of the rule's momenta and energies, so the amplitudes at
+        ``t0 + delta`` are ``exp(i(p_c z - E_c (t0 + delta))) sum_k M_k
+        delta^k``.  That common phase has modulus one and drops out of
+        |psi|^2 and its time derivatives; leaving it out keeps the phase
+        arguments, and their rounding, small.  All 2 x ``terms`` rows are
+        summed in one :meth:`_sum_over_nodes`, a unit phase per time.  With
+        the default terms the sums are exact to below eps x sum |c| while
+        ``|E - E_c| |delta| <= _TAYLOR_REACH``.
+        """
+        rate = self.energy - 0.5 * (self.energy.min() + self.energy.max())
+        wave = self.p - 0.5 * (self.p.min() + self.p.max())
+        rows = np.empty((terms,) + self._coef.shape, dtype=complex)
+        rows[0] = self._coef
+        for k in range(1, terms):
+            rows[k] = rows[k - 1] * (-1j / k * rate)
+        sums = self._sum_over_nodes(rows.reshape(2 * terms, -1), -rate, t0s, wave * z)
+        return self._scale * sums.reshape(terms, 2, -1)
 
     def density_z(self, zs, t: float):
         """|psi|^2 on a position grid at one time."""

@@ -16,6 +16,7 @@ from dirac_tunnel import (
     transit_measure,
     transit_time_predicted,
 )
+from dirac_tunnel import transit
 from dirac_tunnel.transit import scan_grid
 
 P0 = math.sqrt(3.0) / 2.0
@@ -44,16 +45,16 @@ SECONDARIES_10 = [
 ]
 
 
-def _spy_density_dt(monkeypatch):
-    """Record the number of times in each Newton round's ``density_dt`` evaluation."""
+def _spy_series(monkeypatch):
+    """Record the number of extrema in each Newton round's series evaluation."""
     sizes = []
-    density_dt = PacketIntegrator._density_dt
+    series_density = transit._series_density
 
-    def spy(integrator, rows, ts):
-        sizes.append(np.size(ts))
-        return density_dt(integrator, rows, ts)
+    def spy(series, delta):
+        sizes.append(np.size(delta))
+        return series_density(series, delta)
 
-    monkeypatch.setattr(PacketIntegrator, "_density_dt", spy)
+    monkeypatch.setattr(transit, "_series_density", spy)
     return sizes
 
 
@@ -183,10 +184,36 @@ class TestScanBehavior:
         with pytest.raises(ValueError, match="finite"):
             scan_grid(t_range, 0.25)
 
+    @pytest.mark.parametrize(
+        "scan",
+        [
+            lambda step: scan_grid((-100.0, 100.0), step),
+            lambda step: scan_peaks(10.0, (-100.0, 100.0), SPEC, barrier(10.0), step=step),
+            lambda step: numeric_tunneling_time(SPEC, barrier(10.0), step=step),
+        ],
+        ids=["scan_grid", "scan_peaks", "numeric_tunneling_time"],
+    )
+    def test_oversized_grid_is_refused_before_it_is_built(self, monkeypatch, scan):
+        # 2e14 points would take 1.42 PiB; the count is checked first
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an oversized grid reached its allocation")
+
+        monkeypatch.setattr(transit.np, "arange", unreachable)
+        monkeypatch.setattr(PacketIntegrator, "__init__", unreachable)
+        with pytest.raises(ValueError, match=r"^scan step 1e-12 makes 2e\+14 grid points, "
+                                             r"over the limit of 1000000$"):
+            scan(1e-12)
+
+    def test_grid_of_the_limit_is_accepted(self):
+        limit = transit._MAX_POINTS
+        assert scan_grid((0.0, 0.25 * (limit - 1)), 0.25).size == limit
+        with pytest.raises(ValueError, match="over the limit"):
+            scan_grid((0.0, 0.25 * limit), 0.25)
+
     def test_reported_extrema_are_refined_together(self, monkeypatch):
         # the first Newton round holds every reported extremum; later rounds
         # hold only the extrema still moving
-        sizes = _spy_density_dt(monkeypatch)
+        sizes = _spy_series(monkeypatch)
         records = scan_peaks(
             10.0, (-100.0, 100.0), SPEC, barrier(10.0), tol=1e-14, min_density_ratio=1e-13
         )
@@ -197,7 +224,7 @@ class TestScanBehavior:
     def test_dropped_maxima_are_not_refined(self, monkeypatch):
         # the floor is applied on the grid: only the central peak's Newton
         # run is evaluated, one point per round
-        sizes = _spy_density_dt(monkeypatch)
+        sizes = _spy_series(monkeypatch)
         records = scan_peaks(10.0, (-100.0, 100.0), SPEC, barrier(10.0))
         assert [r.kind for r in records] == [PeakKind.CENTRAL_MAX]
         assert sizes and set(sizes) == {1}
@@ -235,6 +262,86 @@ class TestScanBehavior:
         scan_peaks(10.0, (-100.0, 100.0), SPEC, barrier(10.0), tol=1e-8)
         assert tables == [2304, 1152]
         assert grids == [2304]
+
+
+LONG_DOUBLE = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="np.longdouble is no more precise than double here",
+)
+
+
+def long_double_root(eng, z, t):
+    """Root of d|psi|^2/dt near ``t`` and its density, by Newton in np.longdouble.
+
+    The sums run over ``eng``'s node table with energies measured from their
+    midpoint E_c, so each derivative's terms stay small; the factor
+    exp(-i E_c t) drops out of |psi|^2.  Started from a refined time, a few
+    rounds reach the long-double root.
+    """
+    ld = np.longdouble
+    coef = eng._coef.astype(np.clongdouble) * ld(eng._scale)
+    p, energy = eng.p.astype(ld), eng.energy.astype(ld)
+    rate = energy - (energy.min() + energy.max()) / 2
+    t = ld(t)
+    for _ in range(6):
+        arg = p * ld(z) - energy * t
+        terms = coef * (np.cos(arg) + 1j * np.sin(arg))
+        g0, g1, g2 = ((terms * factor).sum(axis=1) for factor in (1, -1j * rate, -rate * rate))
+        first = 2 * (g0.conj() * g1).real.sum()
+        second = 2 * ((g0.conj() * g2).real.sum() + (g1 * g1.conj()).real.sum())
+        t = t - first / second
+    arg = p * ld(z) - energy * t
+    g0 = (coef * (np.cos(arg) + 1j * np.sin(arg))).sum(axis=1)
+    return t, (g0 * g0.conj()).real.sum()
+
+
+@LONG_DOUBLE
+class TestRefinementLongDouble:
+    """Refined extrema against Newton in np.longdouble on the same node table.
+
+    The series' reach is 1 / (E_max - E_min) = 1 here: a scan at the default
+    step never re-centres its series, and the fringe scan at step 4 must.
+    """
+
+    @pytest.fixture
+    def refined(self, monkeypatch):
+        """(relative time errors, relative density errors, series built) of every refinement."""
+        found = {"times": [], "densities": [], "series": 0}
+        extremum, taylor = transit._extremum, PacketIntegrator._taylor
+
+        def spy_extremum(eng, z, ts, step):
+            times, values = extremum(eng, z, ts, step)
+            for t, value in zip(times, values):
+                root, density = long_double_root(eng, z, t)
+                found["times"].append(float(abs(t - root) / abs(root)))
+                found["densities"].append(float(abs(value - density) / density))
+            return times, values
+
+        def spy_taylor(*args, **kwargs):
+            found["series"] += 1
+            return taylor(*args, **kwargs)
+
+        monkeypatch.setattr(transit, "_extremum", spy_extremum)
+        monkeypatch.setattr(PacketIntegrator, "_taylor", spy_taylor)
+        return found
+
+    @pytest.mark.parametrize("step", [0.25, 4.0])
+    @pytest.mark.parametrize("width", [40.0, 100.0])
+    def test_central_time_long_double(self, refined, width, step):
+        numeric_tunneling_time(SPEC, barrier(width), step=step)
+        assert len(refined["times"]) == 1
+        assert refined["times"][0] <= 1e-11
+        if step < 1.0:
+            assert refined["series"] == 1
+
+    @pytest.mark.parametrize("step", [0.25, 4.0])
+    def test_fringes_long_double(self, refined, step):
+        scan_peaks(10.0, (-100.0, 100.0), SPEC, barrier(10.0), step=step,
+                   tol=1e-14, min_density_ratio=1e-13)
+        assert len(refined["times"]) == (23 if step < 1.0 else 9)
+        assert max(refined["times"]) <= 1e-10
+        assert max(refined["densities"]) <= 3e-9
+        assert (refined["series"] > 1) == (step > 1.0)
 
 
 class TestTunnelingTime:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dirac_tunnel import wavepacket
+from dirac_tunnel import transit, wavepacket
 from dirac_tunnel import (
     BarrierConfig,
     ConvergenceError,
@@ -265,11 +265,15 @@ class TestUnitPhase:
 class TestPhaseLadder:
     """Phase ladders against a long-double phase of the same points.
 
-    Row j is a product of at most ``ceil(log2 k) + 1`` unit phases whose
-    arguments add up to ``freqs x (x0 + j h)``; their rounding is at most
-    ``eps/2 |freqs| (|x0| + j |h|)``, which for ``x0`` and ``h`` of one sign
-    is the rounding bound of the argument of a direct evaluation of that
-    point.  Each product adds about an eps.
+    Row j is the ladder's first row times a product of at most
+    ``ceil(log2 k)`` steps (unit phases at ``n h``) whose arguments add up to
+    ``freqs x j h``.  With the unit phase at ``x0`` as first row, their
+    rounding is at most ``eps/2 |freqs| (|x0| + j |h|)``, which for ``x0``
+    and ``h`` of one sign is the rounding bound of the argument of a direct
+    evaluation of that point.  Each product adds about an eps.  The steps
+    are built once for the longest ladder and shared by the shorter ones, as
+    the kernel shares one axis's steps across its chunks; a fine ladder
+    starts from exact ones.
     """
 
     # -E over the canonical window: |freqs| up to 2, so |freqs x| up to 2000
@@ -281,17 +285,67 @@ class TestPhaseLadder:
         "x0, h", [(0.0, 0.25), (0.0, -0.37), (2.5, 0.0), (-1000.0, 1.9531), (700.0, -0.9)]
     )
     def test_within_rounding_of_long_double(self, k, x0, h):
-        ladder = wavepacket._phase_ladder(self.FREQS, x0, h, k)
-        assert ladder.shape == (k, self.FREQS.size)
-        assert ladder[0].tobytes() == wavepacket._unit_phase(self.FREQS, x0).tobytes()
+        steps = wavepacket._ladder_steps(self.FREQS, h, 512)
+        first = wavepacket._unit_phase(self.FREQS, x0)
+        ones = np.ones(self.FREQS.size, dtype=complex)
+        coarse = wavepacket._phase_ladder(first, steps, k)
+        fine = wavepacket._phase_ladder(ones, steps, k)
+        assert coarse.shape == fine.shape == (k, self.FREQS.size)
+        assert coarse[0].tobytes() == first.tobytes()
+        assert fine[0].tobytes() == ones.tobytes()
         ld = np.longdouble
         j = np.arange(k)[:, None]
-        arg = self.FREQS.astype(ld)[None, :] * (ld(x0) + j.astype(ld) * ld(h))
-        error = np.hypot((ladder.real - np.cos(arg)).astype(float),
-                         (ladder.imag - np.sin(arg)).astype(float))
         eps = np.finfo(float).eps
-        rounding = 0.5 * eps * np.abs(self.FREQS)[None, :] * (abs(x0) + j * abs(h))
-        assert np.all(error <= rounding + (math.ceil(math.log2(k)) + 2) * eps)
+        for start, ladder in ((x0, coarse), (0.0, fine)):
+            arg = self.FREQS.astype(ld)[None, :] * (ld(start) + j.astype(ld) * ld(h))
+            error = np.hypot((ladder.real - np.cos(arg)).astype(float),
+                             (ladder.imag - np.sin(arg)).astype(float))
+            rounding = 0.5 * eps * np.abs(self.FREQS)[None, :] * (abs(start) + j * abs(h))
+            assert np.all(error <= rounding + (math.ceil(math.log2(k)) + 2) * eps)
+
+
+class TestUnitPhaseBudget:
+    """Calls of the unit phase, the kernel's one cos and sin per node and point."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        unit_phase = wavepacket._unit_phase
+
+        def spy(*args, **kwargs):
+            made.append(args[1])
+            return unit_phase(*args, **kwargs)
+
+        monkeypatch.setattr(wavepacket, "_unit_phase", spy)
+        return made
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_grid(self, monkeypatch, calls, chunk):
+        # ladder steps of the fine block and of the longest chunk, once per
+        # axis, a unit phase at each chunk's start and the position phase
+        if chunk is not None:
+            monkeypatch.setattr(wavepacket, "_TIME_CHUNK", chunk)
+        ts = scan_grid((-100.0, 100.0), 0.25)
+        eng = PacketIntegrator(SPEC, barrier(40.0))
+        _, b = wavepacket._fine_block(ts)
+        starts = -(-ts.size // b)
+        width = min(wavepacket._TIME_CHUNK // b, starts)
+        chunks = -(-starts // width)
+        expected = math.ceil(math.log2(b)) + math.ceil(math.log2(width)) + chunks + 1
+        calls.clear()
+        eng.density(40.0, ts)
+        assert len(calls) == expected
+        if chunk is None:
+            assert (b, width, chunks, expected) == (28, 18, 2, 13)
+        else:
+            assert (b, width, chunks, expected) == (7, 1, 115, 119)
+
+    def test_single_extremum_refinement(self, calls):
+        eng = PacketIntegrator(SPEC, barrier(40.0))
+        calls.clear()
+        times, _ = transit._extremum(eng, 40.0, np.array([9.25]), 0.25)
+        assert len(calls) == 1
+        assert times[0] == pytest.approx(9.271, abs=1e-3)
 
 
 def central_differences(eng, z, t, h):
