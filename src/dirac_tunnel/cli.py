@@ -504,11 +504,7 @@ def _transit(config, emitter, spec, scan):
         if width not in stats_of:
             stats_of[width] = filter_stats(spec, cfg, nodes=config.numerics.nodes)
         stats = stats_of[width]
-        predicted = (
-            transit_time_predicted(detector, width, v_closed, stats.v_out)
-            if width > 0.0
-            else detector / stats.v_out
-        )
+        predicted = transit_time_predicted(detector, width, v_closed, stats.v_out)
         bound = superluminal_detector_bound(v_closed, stats.v_out, width)
         return (
             (detector, width, report.t_dl, report.v_dl, report.superluminal),

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import BarrierConfig
-from .wavepacket import PacketIntegrator, PacketSpec, converged_integrator
-from .wavepacket import _TAYLOR_REACH, _series_density
+from .wavepacket import PacketIntegrator, PacketSpec, _series_density, converged_integrator
 
 __all__ = [
     "PeakKind",
@@ -71,16 +70,14 @@ def _extremum(eng: PacketIntegrator, z: float, ts: np.ndarray, step: float):
     Each round sums, for the extrema still moving, the Taylor series of
     their amplitudes about their grid times (:meth:`PacketIntegrator._taylor`,
     built together at ``z``, a unit phase per extremum).  An iterate beyond
-    the series' reach (``|E - E_c| |t - t0| <= _TAYLOR_REACH``) re-centres
-    its series on itself.  Iterates are clamped to one ``step`` around their
-    grid times; an extremum stops at its first step no smaller than the one
-    before (or zero), so steps strictly decrease and no tolerance is needed.
-    A root of the derivative is a maximum or a minimum alike.
+    the series' reach (``eng._reach``, set with the rule's phase origin)
+    re-centres its series on itself.  Iterates are clamped to one ``step``
+    around their grid times; an extremum stops at its first step no smaller
+    than the one before (or zero), so steps strictly decrease and no
+    tolerance is needed.  A root of the derivative is a maximum or a minimum alike.
     """
     t = ts.astype(float)
     centre = t.copy()
-    # |E - E_c| is at most half the span of the rule's energies
-    reach = _TAYLOR_REACH / (0.5 * np.ptp(eng.energy))
     series = eng._taylor(z, centre)
     density, first, second = _series_density(series, t - centre)
     last = np.full(t.size, np.inf)
@@ -94,7 +91,7 @@ def _extremum(eng: PacketIntegrator, z: float, ts: np.ndarray, step: float):
         if moving.size == 0:
             return t, density
         t[moving], last[moving] = t_next[shrinks], move[shrinks]
-        far = moving[np.abs(t[moving] - centre[moving]) > reach]
+        far = moving[np.abs(t[moving] - centre[moving]) > eng._reach]
         if far.size:
             centre[far] = t[far]
             series[:, :, far] = eng._taylor(z, centre[far])

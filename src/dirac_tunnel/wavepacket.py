@@ -39,10 +39,15 @@ axis, and a start per chunk of coarse columns.  Per node a curve costs
 about ``2 log2(sqrt(K))`` unit phases, one per chunk and ``2 sqrt(K)``
 complex products, plus one matrix product per chunk; other grids, and axes
 of fewer than four points, take the direct sum, a unit phase per point.
+
+Every sum measures its phases from one origin per rule, the midpoints
+``p_c`` and ``E_c`` of its momenta and energies, as ``(p - p_c) z - (E -
+E_c) t``, whose rounding stays small: densities drop the common phase
+``exp(i(p_c z - E_c t))`` of modulus one, and ``amplitudes`` restores it.
 Near a single time t0 the amplitudes are a short Taylor series in t - t0
-(``PacketIntegrator._taylor``), whose terms cost one unit phase per node
-in all; the peak refinement and ``density_dt`` read densities and time
-derivatives from it.
+(``PacketIntegrator._taylor``), a unit phase per node in all, whose reach
+the origin sets too; the peak refinement and ``density_dt`` read densities
+and time derivatives from it.
 """
 
 from __future__ import annotations
@@ -286,74 +291,81 @@ class PacketIntegrator:
         *,
         _edges: np.ndarray | None = None,
     ):
-        self.spec = spec
-        self.cfg = cfg
-        self.mass = 1.0 if cfg is None else float(cfg.mass)
+        mass = 1.0 if cfg is None else float(cfg.mass)
         # the gate's split and merged rules pass their panels instead
         self._edges = _graded_edges(spec, cfg, nodes) if _edges is None else _edges
         p, w = _gauss_panels(self._edges)
         self.nodes = p.size
         self.p = p
-        self.energy = total_energy(p, self.mass)
+        self.energy = total_energy(p, mass)
         coef = w * momentum_weight(p, spec).astype(complex)
         if cfg is not None:
             coef = coef * transmission_amplitude(p, cfg)
         # Constant amplitude normalization, see the module docstring.
-        self._scale = 2.0 * float(total_energy(spec.p0, self.mass))
+        self._scale = 2.0 * float(total_energy(spec.p0, mass))
         # the two coefficient rows c0 (large component) and c2 (small)
-        self._coef = np.stack((coef, coef * (p / (self.energy + self.mass))))
+        self._coef = np.stack((coef, coef * (p / (self.energy + mass))))
+        # the phase origin (p_c, E_c) of every sum, the rates from it, the series' reach
+        self._p_c = 0.5 * (p.min() + p.max())
+        self._e_c = 0.5 * (self.energy.min() + self.energy.max())
+        self._wave = p - self._p_c
+        self._rate = self.energy - self._e_c
+        self._reach = _TAYLOR_REACH / np.max(np.abs(self._rate))
 
     # -- core evaluation ---------------------------------------------------
 
-    def _sum_over_nodes(self, fixed, freqs, cols, shift=None):
-        """Every row of ``fixed @ exp(i (shift + freqs x cols))``, by a factorized phase block.
+    def _sum_over_nodes(self, rows, freqs, axis, shift):
+        """Every row of ``rows @ exp(i (shift + freqs x axis))``, by a factorized phase block.
 
-        ``fixed`` stacks R coefficient rows (shape ``(R, N)``), ``freqs`` the
-        N real phase rates (``-E`` on a time axis, ``p`` on a position axis)
-        and ``shift``, if given, N phases added to every point's argument;
-        the result has shape ``(R, K)`` for the ``K`` points of ``cols``, a
-        scalar ``cols`` being an axis of one point.  On an evenly spaced axis
-        ``x_k = x_0 + k h`` the phase splits at the fine block length ``b``
-        (:func:`_fine_block`): the fine block ``fixed * exp(i freqs x jh)`` is
-        built once, and each chunk of ``_TIME_CHUNK // b`` coarse columns
-        ``exp(i (shift + freqs x x_{ab}))`` is contracted with it in one
-        matrix product.  Both are phase ladders (:func:`_phase_ladder`), the
-        fine one from exact ones and each coarse one from a unit phase at its
-        chunk's start; the steps of both are built once per axis.  Per node
-        a K-point axis costs about ``2 log2(sqrt(K))`` unit phases plus one
-        per chunk, and ``2 sqrt(K)`` complex products, plus one matrix
-        product per chunk, instead of K unit phases, and no block larger
-        than ``N x _TIME_CHUNK`` is materialized.  An axis that is not evenly
-        spaced, or has fewer than 4 points, gets ``b = 1`` and no fine block
-        (it would be 1): each column is a unit phase (:func:`_unit_phase`)
-        of its own.
+        ``rows`` stacks R coefficient rows (shape ``(R, N)``); the N rates
+        ``freqs`` and the N phases ``shift`` added to every point's argument
+        are read from the rule's origin, ``(-_rate, _wave z)`` on a time axis
+        and ``(_wave, -_rate t)`` on a position axis.  The result has shape
+        ``(R, K)`` for the ``K >= 0`` points of ``axis``.  On an evenly
+        spaced axis ``x_k = x_0 + k h`` the phase splits at the fine block
+        length ``b`` (:func:`_fine_block`): the fine block ``rows * exp(i
+        freqs x jh)`` is built once, and each chunk of ``_TIME_CHUNK // b``
+        coarse columns ``exp(i (shift + freqs x x_{ab}))`` is contracted with
+        it in one matrix product.  Both are phase ladders
+        (:func:`_phase_ladder`), the fine one from exact ones and each coarse
+        one from a unit phase at its chunk's start; the steps of both are
+        built once per axis.  That is the cost per node of the module
+        docstring, and no block larger than ``N x _TIME_CHUNK`` is
+        materialized.  An axis that is not evenly spaced, or has fewer than
+        4 points, gets ``b = 1`` and no fine block: each column is a unit
+        phase (:func:`_unit_phase`) of its own.
         """
-        cols = np.atleast_1d(np.asarray(cols, dtype=float))
-        h, b = _fine_block(cols)
-        starts = cols[::b]
-        width = min(_TIME_CHUNK // b, starts.size)
-        weighted = fixed[:, :, None]
+        axis = np.atleast_1d(np.asarray(axis, dtype=float))
+        h, b = _fine_block(axis)
+        starts = axis[::b]
+        width = max(1, min(_TIME_CHUNK // b, starts.size))
+        weighted = rows[:, :, None]
         if b > 1:
             ones = np.ones(np.size(freqs), dtype=complex)
             weighted = weighted * _phase_ladder(ones, _ladder_steps(freqs, h, b), b).T
             steps = _ladder_steps(freqs, b * h, width)
-        out = np.empty((fixed.shape[0], starts.size, b), dtype=complex)
+        out = np.empty((rows.shape[0], starts.size, b), dtype=complex)
         for i in range(0, starts.size, width):
             sl = slice(i, i + width)
             first = _unit_phase(freqs, starts[sl] if b == 1 else starts[i], shift)
             coarse = first.T if b == 1 else _phase_ladder(first, steps, starts[sl].size)
             out[:, sl] = coarse @ weighted
-        return out.reshape(fixed.shape[0], -1)[:, : cols.size]
+        return out.reshape(rows.shape[0], -1)[:, : axis.size]
 
     def amplitudes(self, z: float, ts):
-        """Large and small component amplitudes at position z over times ts."""
-        phase_z = _unit_phase(self.p, float(z))
-        g, f = self._sum_over_nodes(self._coef * phase_z, -self.energy, ts)
-        return self._scale * g, self._scale * f
+        """Large and small component amplitudes at position z over times ts.
+
+        Summed from the rule's origin, then given their absolute phase
+        ``exp(i(p_c z - E_c t))``, a unit phase per time.
+        """
+        g, f = self._scale * self._sum_over_nodes(self._coef, -self._rate, ts, self._wave * z)
+        phase = _unit_phase(-self._e_c, ts, self._p_c * z)
+        return g * phase, f * phase
 
     def density(self, z: float, ts):
-        """|psi|^2 at position z for each time in ts."""
-        return _modulus2(*self.amplitudes(z, ts))
+        """|psi|^2 at position z for each time in ts, summed from the rule's origin."""
+        sums = self._sum_over_nodes(self._coef, -self._rate, ts, self._wave * z)
+        return _modulus2(*self._scale * sums)
 
     def density_dt(self, z: float, ts):
         """|psi|^2 and its first two time derivatives at z, as arrays over times ts.
@@ -366,32 +378,26 @@ class PacketIntegrator:
     def _taylor(self, z: float, t0s, terms: int = _TAYLOR_TERMS):
         """Taylor coefficients in ``delta = t - t0`` of the amplitudes at z about each of ``t0s``.
 
-        Term k of component c about the K times ``t0s`` (shape
-        ``(terms, 2, K)``) is ``M_k = sum_n c_n exp(i((p_n - p_c) z - (E_n -
-        E_c) t0)) (-i(E_n - E_c))^k / k!``, with ``p_c`` and ``E_c`` the
-        midpoints of the rule's momenta and energies, so the amplitudes at
+        Term k of component c about the K times ``t0s`` (shape ``(terms, 2,
+        K)``) is ``M_k = sum_n c_n exp(i(_wave_n z - _rate_n t0)) (-i
+        _rate_n)^k / k!``, phases from the rule's origin, so the amplitudes at
         ``t0 + delta`` are ``exp(i(p_c z - E_c (t0 + delta))) sum_k M_k
-        delta^k``.  That common phase has modulus one and drops out of
-        |psi|^2 and its time derivatives; leaving it out keeps the phase
-        arguments, and their rounding, small.  All 2 x ``terms`` rows are
-        summed in one :meth:`_sum_over_nodes`, a unit phase per time.  With
-        the default terms the sums are exact to below eps x sum |c| while
-        ``|E - E_c| |delta| <= _TAYLOR_REACH``.
+        delta^k``; that common phase drops out of |psi|^2 and its time
+        derivatives.  All 2 x ``terms`` rows are summed in one
+        :meth:`_sum_over_nodes`, a unit phase per time.  With the default
+        terms the sums are exact to below eps x sum |c| while ``|delta| <= _reach``.
         """
-        rate = self.energy - 0.5 * (self.energy.min() + self.energy.max())
-        wave = self.p - 0.5 * (self.p.min() + self.p.max())
         rows = np.empty((terms,) + self._coef.shape, dtype=complex)
         rows[0] = self._coef
         for k in range(1, terms):
-            rows[k] = rows[k - 1] * (-1j / k * rate)
-        sums = self._sum_over_nodes(rows.reshape(2 * terms, -1), -rate, t0s, wave * z)
-        return self._scale * sums.reshape(terms, 2, -1)
+            rows[k] = rows[k - 1] * (-1j / k * self._rate)
+        sums = self._sum_over_nodes(rows.reshape(2 * terms, -1), -self._rate, t0s, self._wave * z)
+        return self._scale * sums.reshape(terms, 2, sums.shape[1])
 
     def density_z(self, zs, t: float):
         """|psi|^2 on a position grid at one time."""
-        evolve = _unit_phase(-self.energy, float(t))
-        g, f = self._sum_over_nodes(self._coef * evolve, self.p, zs)
-        return _modulus2(self._scale * g, self._scale * f)
+        sums = self._sum_over_nodes(self._coef, self._wave, zs, -self._rate * t)
+        return _modulus2(*self._scale * sums)
 
 
 def transmitted_density(

@@ -141,15 +141,20 @@ LONG_DOUBLE = pytest.mark.skipif(
 )
 
 
-def long_double_density(eng, z, ts):
-    """|psi|^2 at z over ts by a cos/sin sum over the node table in np.longdouble."""
+def long_double_density(eng, zs, ts):
+    """|psi|^2 over zs and ts, broadcast to one axis, by a cos/sin sum in np.longdouble.
+
+    The sum runs over ``eng``'s node table; one of ``zs`` and ``ts`` is
+    usually a scalar, making a time axis at one position or the converse.
+    """
     ld = np.longdouble
     scale = ld(eng._scale)
     re, im = eng._coef.real.astype(ld) * scale, eng._coef.imag.astype(ld) * scale
     p, energy = eng.p.astype(ld)[:, None], eng.energy.astype(ld)[:, None]
+    zs, ts = np.broadcast_arrays(np.asarray(zs, dtype=float), np.asarray(ts, dtype=float))
     parts = []
-    for part in np.array_split(np.asarray(ts, dtype=float), 9):
-        arg = p * ld(z) - energy * part.astype(ld)[None, :]
+    for z_part, t_part in zip(np.array_split(zs, 9), np.array_split(ts, 9)):
+        arg = p * z_part.astype(ld)[None, :] - energy * t_part.astype(ld)[None, :]
         cos, sin = np.cos(arg), np.sin(arg)
         real, imag = re @ cos - im @ sin, re @ sin + im @ cos
         parts.append((real * real + imag * imag).sum(axis=0))
@@ -230,6 +235,42 @@ class TestFactorizedKernel:
         assert ts.size == 801
         assert np.max(np.abs(eng.density(width, ts) - want)) <= 2e-15 * np.max(want)
 
+    @LONG_DOUBLE
+    @pytest.mark.parametrize(
+        "width, t", [(10.0, 100.0), (800.0, 400.0)], ids=["L10", "L800"]
+    )
+    def test_density_z_against_long_double(self, width, t):
+        # 801 positions behind the barrier, spaced 0.25 from its downstream
+        # face, when the transmitted peak is 67 (L = 10) or 86 (L = 800) past
+        # it; the same node table summed in long double
+        zs = width + 0.25 * np.arange(801)
+        eng = PacketIntegrator(SPEC, barrier(width))
+        want = long_double_density(eng, zs, t)
+        assert np.max(np.abs(eng.density_z(zs, t) - want)) <= 2e-15 * np.max(want)
+
+    @pytest.mark.parametrize(
+        "width, nodes, ts",
+        [
+            (10.0, 2048, scan_grid((-100.0, 100.0), 0.25)),
+            (10.0, 2048, 2.0 + 0.25 * OFFSETS[-1]),
+            (800.0, 4096, 300.0 + 0.25 * (np.arange(801) - 400)),
+        ],
+        ids=["L10_even", "L10_uneven", "L800_peak"],
+    )
+    def test_amplitudes_in_absolute_phase(self, width, nodes, ts):
+        # complex g and f at the downstream face, not only |g|^2 + |f|^2,
+        # against the direct sum of c exp(i(p z - E t)) over the node table
+        eng = PacketIntegrator(SPEC, barrier(width), nodes=nodes)
+        want = np.concatenate([
+            (eng._scale * eng._coef) @ np.exp(1j * np.outer(eng.p, np.full_like(part, width))
+                                              - 1j * np.outer(eng.energy, part))
+            for part in np.array_split(ts, 9)
+        ], axis=1)
+        bound = 1e-13 * np.max(np.abs(want[0]))
+        for got, expected in zip(eng.amplitudes(width, ts), want):
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= bound
+
     @pytest.mark.parametrize(
         "evaluate",
         [
@@ -245,6 +286,15 @@ class TestFactorizedKernel:
         for scalar, one in zip(evaluate(eng, 2.0), evaluate(eng, [2.0])):
             assert scalar.shape == (1,)
             assert np.array_equal(scalar, one)
+
+    @pytest.mark.parametrize(
+        "name, outputs", [("density", 1), ("amplitudes", 2), ("density_z", 1), ("density_dt", 3)]
+    )
+    def test_empty_axis_gives_empty_arrays(self, name, outputs):
+        eng = PacketIntegrator(SPEC, barrier(10.0))
+        out = getattr(eng, name)(*(([], 2.0) if name == "density_z" else (10.0, [])))
+        out = out if isinstance(out, tuple) else (out,)
+        assert [values.shape for values in out] == [(0,)] * outputs
 
 
 class TestUnitPhase:
@@ -322,7 +372,8 @@ class TestUnitPhaseBudget:
     @pytest.mark.parametrize("chunk", [None, 7])
     def test_grid(self, monkeypatch, calls, chunk):
         # ladder steps of the fine block and of the longest chunk, once per
-        # axis, a unit phase at each chunk's start and the position phase
+        # axis, and a unit phase at each chunk's start, whose argument
+        # carries the position phase
         if chunk is not None:
             monkeypatch.setattr(wavepacket, "_TIME_CHUNK", chunk)
         ts = scan_grid((-100.0, 100.0), 0.25)
@@ -331,14 +382,14 @@ class TestUnitPhaseBudget:
         starts = -(-ts.size // b)
         width = min(wavepacket._TIME_CHUNK // b, starts)
         chunks = -(-starts // width)
-        expected = math.ceil(math.log2(b)) + math.ceil(math.log2(width)) + chunks + 1
+        expected = math.ceil(math.log2(b)) + math.ceil(math.log2(width)) + chunks
         calls.clear()
         eng.density(40.0, ts)
         assert len(calls) == expected
         if chunk is None:
-            assert (b, width, chunks, expected) == (28, 18, 2, 13)
+            assert (b, width, chunks, expected) == (28, 18, 2, 12)
         else:
-            assert (b, width, chunks, expected) == (7, 1, 115, 119)
+            assert (b, width, chunks, expected) == (7, 1, 115, 118)
 
     def test_single_extremum_refinement(self, calls):
         eng = PacketIntegrator(SPEC, barrier(40.0))
