@@ -23,11 +23,12 @@ Scenarios
     each width, transit reports when detectors are given.
 
 Output contract: every run writes CSV (or JSON) files plus ``manifest.json``
-recording parameters and sha256 checksums, and a gnuplot stub ``plot.gp``.
-Reruns with identical configuration produce byte-identical files: node
-counts are fixed, nothing depends on wall clock or RNG.  Exit codes:
-0 success, 2 invalid configuration or unwritable output directory, 3
-numeric non-convergence (partial manifest with failure records).
+recording parameters and sha256 checksums; a CSV run also writes a gnuplot
+stub ``plot.gp``.  Reruns with identical configuration produce
+byte-identical files: node counts are fixed, nothing depends on wall clock
+or RNG.  Exit codes: 0 success, 2 invalid configuration or unwritable
+output directory, 3 numeric non-convergence (partial manifest with
+failure records).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -309,29 +311,20 @@ def validate_config(
 # -- output plumbing ---------------------------------------------------------
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    return format(float(value), ".17g")
+def _text_rows(columns) -> str:
+    """The cells of equal-length columns as CSV text, one line per row.
 
-
-class _Text(tuple):
-    """A column already formatted: its cells are written as they are."""
-
-
-def _fmt_column(column) -> _Text:
-    """The cells of one column as text: a float array through ``format(v, ".17g")``
-    over ``tolist()``, with no per-cell type dispatch; any other sequence cell by
-    cell through :func:`_fmt_cell`; a :class:`_Text` as it is."""
-    if isinstance(column, _Text):
-        return column
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        return _Text(format(v, ".17g") for v in column.tolist())
-    return _Text(_fmt_cell(cell) for cell in column)
+    One row template, ``%s`` for a column of strings and ``%.17g`` for any
+    other (bools print as 1/0, ints below 1e17 as digits), formats the whole
+    body with a single ``%``.  No columns (rows transposed from none) give no
+    text.
+    """
+    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    if not columns:
+        return ""
+    row = ",".join("%s" if c and isinstance(c[0], str) else "%.17g" for c in columns)
+    cells = tuple(chain.from_iterable(zip(*columns, strict=True)))
+    return f"{row}\n" * len(columns[0]) % cells
 
 
 class _Emitter:
@@ -345,26 +338,28 @@ class _Emitter:
 
     def _comment(self, width=None) -> str:
         p = self.config.physics
-        parts = [f"V0={_fmt_cell(p.v0)}", f"m={_fmt_cell(p.mass)}"]
+        parts = ["V0=%.17g" % p.v0, "m=%.17g" % p.mass]
         if width is not None:
-            parts.append(f"L={_fmt_cell(width)}")
-        parts += [f"p0={_fmt_cell(p.p0)}", f"d={_fmt_cell(p.d)}"]
+            parts.append("L=%.17g" % width)
+        parts += ["p0=%.17g" % p.p0, "d=%.17g" % p.d]
         parts.append(f"nodes={self.config.numerics.nodes}")
         return " ".join(parts)
 
     def table(self, name: str, header: list[str], columns, width=None):
-        """Write the columns of one table, each formatted once by :func:`_fmt_column`;
-        with no columns (rows transposed from none) only the header is written.  The
+        """Write one table from the text of :func:`_text_rows`: CSV is the comment
+        line, the header and that text, and JSON ``rows`` are its lines split at
+        commas (no cell holds one), so both formats write the same cells.  With no
+        columns (rows transposed from none) only the header is written.  The
         comment line names ``width`` when the table holds one width."""
         comment = self._comment(width)
-        rows = zip(*map(_fmt_column, columns), strict=True)
+        text = _text_rows(columns)
         if self.config.output.format == "json":
-            payload = {"comment": comment, "columns": header, "rows": list(map(list, rows))}
+            rows = [line.split(",") for line in text.splitlines()]
+            payload = {"comment": comment, "columns": header, "rows": rows}
             body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
             self.write(Path(name).with_suffix(".json").name, body)
             return
-        # the trailing "" ends the body with a newline without copying it
-        self.write(name, "\n".join([f"# {comment}", ",".join(header), *map(",".join, rows), ""]))
+        self.write(name, f"# {comment}\n{','.join(header)}\n{text}")
 
     def write(self, name: str, body: str):
         data = body.encode("utf-8")
@@ -433,16 +428,16 @@ def _packet(config: ScenarioConfig) -> PacketSpec:
 
 def _filter(config, emitter, spec, scan):
     p_axis = np.linspace(spec.p_min, spec.p_max, config.numerics.curve_samples)
-    # the same in every width's file: formatted once per run
-    shared = [_fmt_column(p_axis), _fmt_column(momentum_weight(p_axis, spec))]
+    # the same in every width's file: formatted once per run, as one text column
+    shared = _text_rows([p_axis, momentum_weight(p_axis, spec)]).splitlines()
     stats_rows = []
     for width in config.geometry.widths:
         cfg = _barrier(config, width)
         g_t, f_t = filtered_distributions(p_axis, spec, cfg)
         name = f"filter_L{_width_tag(width)}.csv"
-        emitter.table(name, ["p", "weight", "g_t", "f_t"], [*shared, g_t, f_t], width)
+        emitter.table(name, ["p", "weight", "g_t", "f_t"], [shared, g_t, f_t], width)
         stats = emitter.item(
-            f"filter_stats L={width:g}", filter_stats, spec, cfg, nodes=config.numerics.nodes
+            "filter_stats L=%.17g" % width, filter_stats, spec, cfg, nodes=config.numerics.nodes
         )
         if stats is not None:
             ratio = stats.p_mean / (stats.e_mean + config.physics.mass)
@@ -458,7 +453,7 @@ def _peaks(config, emitter, spec, scan, curves=False):
         z = config.geometry.offset + width
         cfg = _barrier(config, width)
         records = emitter.item(
-            f"scan L={width:g}",
+            "scan L=%.17g" % width,
             scan_peaks,
             z,
             spec=spec,
@@ -484,7 +479,7 @@ def _times(config, emitter, spec, scan):
     rows = []
     for width in config.geometry.widths:
         cfg = _barrier(config, width)
-        measured = emitter.item(f"times L={width:g}", numeric_tunneling_time, spec, cfg, **scan)
+        measured = emitter.item("times L=%.17g" % width, numeric_tunneling_time, spec, cfg, **scan)
         if measured is not None:
             tau, v = measured
             opaque = opaque_tunneling_time(width, coeffs, mode="exact")
@@ -515,7 +510,8 @@ def _transit(config, emitter, spec, scan):
     context_rows = []
     for detector in config.geometry.detectors:
         for width in config.geometry.widths:
-            rows = emitter.item(f"transit D={detector:g} L={width:g}", measure, detector, width)
+            label = "transit D=%.17g L=%.17g" % (detector, width)
+            rows = emitter.item(label, measure, detector, width)
             if rows is not None:
                 transit_rows.append(rows[0])
                 context_rows.append(rows[1])

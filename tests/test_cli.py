@@ -565,12 +565,20 @@ class TestTableCells:
             [-0.0, np.float64(-math.inf), np.nan],
         ]
         header = [f"c{i}" for i in range(len(columns))]
-        self.emitter(tmp_path, fmt).table("mixed.csv", header, columns)
+        emitter = self.emitter(tmp_path, fmt)
+        emitter.table("mixed.csv", header, columns)
         _, got_header, rows = read_table(tmp_path / "mixed", fmt)
         assert got_header == header
-        assert rows == [[cli._fmt_cell(column[i]) for column in columns] for i in range(3)]
-        assert rows[0] == ["1", "1", "0", "3", "central_max", "-0", "-0"]
-        assert [row[5] for row in rows] == ["-0", "nan", "inf"]
+        assert rows == [
+            ["1", "1", "0", "3", "central_max", "-0", "-0"],
+            ["0", "0", "1", "-4", "minimum", "nan", "-inf"],
+            ["1", "1", "0", "7", "secondary_max", "inf", "nan"],
+        ]
+        # a float column of edge values prints as format(v, ".17g")
+        edges = np.array([5e-324, 1e308, 0.1, -1e-300, 2.0**53 + 2])
+        emitter.table("edges.csv", ["x"], [edges])
+        _, _, rows = read_table(tmp_path / "edges", fmt)
+        assert rows == [[cell(v)] for v in edges]
 
     def test_rows_transposed_from_tuples(self, tmp_path):
         rows = [(10.0, "central_max", np.float64(2.5), np.True_), (15, "minimum", 1e-300, False)]
@@ -639,6 +647,16 @@ class TestFailurePath:
                                                    rel=1e-6)
         # partial outputs still written
         assert (tmp_path / "times.csv").is_file()
+
+    def test_failure_labels_name_each_width_exactly(self, tmp_path):
+        # two widths that print alike at six significant digits
+        code = main([
+            "run", "--scenario", "fig3_times", "--out", str(tmp_path),
+            "--set", "geometry.L=10, 10.0000001", "--set", "numerics.tolerance=1e-30",
+        ])
+        assert code == 3
+        items = [f["item"] for f in read_manifest(tmp_path)["failures"]]
+        assert items == ["times L=10", "times L=%.17g" % 10.0000001]
 
     @pytest.mark.parametrize("overrides, item", [
         # the central peak arrives before t = 0
