@@ -79,12 +79,9 @@ def _lower_gamma(k: int, x: float) -> float:
 
     gamma(1, x) = 1 - exp(-x) and gamma(k+1, x) = k gamma(k, x) - x^k e^-x.
     Stable on the physical domain x = mass * L of order one and larger; for
-    x << 1 each step cancels a factor ~x/k of precision.
+    x << 1 each step cancels a factor ~x/k of precision.  Its one caller,
+    :func:`moment_s`, has validated k and x.
     """
-    if k < 1:
-        raise ValueError(f"integer order must be >= 1, got {k}")
-    if x < 0.0:
-        raise ValueError(f"argument must be non-negative, got {x}")
     decay = math.exp(-x)
     value = 1.0 - decay
     power = 1.0
@@ -176,10 +173,8 @@ def opaque_tunneling_time(
     velocity ``width / tau`` is the width-independent constant 9 a2 / a1.
     Exact mode keeps the incomplete-gamma moments (the particle mass is
     recovered from ``a2 = 1 / (2 mass)``), shifting tau by a relative
-    O(exp(-mass * width)) amount.
+    O(exp(-mass * width)) amount.  :func:`moment_s` validates ``mode``.
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     c1, c2 = _expansion_coefficients(width, coeffs, mode)
     tau = -c1 / (2.0 * c2)
     return OpaqueSolution(tau=tau, v=9.0 * coeffs.a2 / coeffs.a1)

@@ -20,13 +20,14 @@ with ``c^2 = 2 m p_max / (v0 + m)``.  So the rule of ``nodes`` nodes is
 graded toward that edge, as hp-finite elements grade toward a boundary
 layer (Schwab 1998): of its ``nodes // 64`` uniform panels the last is
 split geometrically toward ``p_max``, the first piece ``0.25/(c L)^2`` wide
-and each next one twice as wide, the last taking the rest.  The free
-packet and width 0 keep that panel whole.  Either way the widest piece of
-the last panel is halved if the panel count would be odd, so every rule
-has an even panel count and merging its panels in pairs leaves none
-shared.  ``nodes`` is the rule's uniform base; its node count is larger by
-64 per piece of the last panel beyond the first.  The packet densities
-and the filter statistics are integrated on this one rule.
+and each next one twice as wide, the last taking the rest.  Width 0 keeps
+that panel whole; the free packet is the barrier of width 0 at unit mass,
+where t(p) = 1.  Either way the widest piece of the last panel is halved
+if the panel count would be odd, so every rule has an even panel count
+and merging its panels in pairs leaves none shared.  ``nodes`` is the
+rule's uniform base; its node count is larger by 64 per piece of the last
+panel beyond the first.  The packet densities and the filter statistics
+are integrated on this one rule.
 
 A curve is the sum over the N nodes of the coefficients times the phase
 ``exp(i p z - i E t)`` at each of its K points.  On an evenly spaced grid
@@ -84,6 +85,9 @@ MAX_NODES = 65536
 # = 7e-19 and 0.5**15 / 15! = 2e-17, lie below eps = 2.2e-16 of sum |c|
 _TAYLOR_TERMS = 16
 _TAYLOR_REACH = 0.5
+# The free packet: v0 does not enter, since at width 0 transmission_amplitude
+# returns exactly 1 before it computes rho
+_FREE = BarrierConfig(v0=1.0, width=0.0)
 
 
 @dataclass(frozen=True)
@@ -111,10 +115,6 @@ class PacketSpec:
                 f"central momentum {self.p0} outside window "
                 f"[{self.p_min}, {self.p_max}]"
             )
-
-    @property
-    def window(self) -> tuple[float, float]:
-        return (self.p_min, self.p_max)
 
     @classmethod
     def for_barrier(cls, cfg: BarrierConfig, p0: float, d: float) -> "PacketSpec":
@@ -150,14 +150,14 @@ def momentum_weight(p, spec: PacketSpec):
     return np.where((p_arr >= spec.p_min) & (p_arr <= spec.p_max), g, 0.0)[()]
 
 
-def _graded_edges(spec: PacketSpec, cfg: BarrierConfig | None, nodes: int) -> np.ndarray:
+def _graded_edges(spec: PacketSpec, cfg: BarrierConfig, nodes: int) -> np.ndarray:
     """Panel edges of the rule of ``nodes`` nodes (see the module docstring)."""
     if nodes <= 0 or nodes % _PANEL:
         raise ValueError(f"nodes must be a positive multiple of {_PANEL}, got {nodes}")
     edges = np.linspace(spec.p_min, spec.p_max, nodes // _PANEL + 1)
-    # the last panel, kept whole for the free packet and width 0
+    # the last panel, kept whole at width 0
     graded = edges[-1:]
-    if cfg is not None and cfg.width > 0.0:
+    if cfg.width > 0.0:
         c2 = 2.0 * cfg.mass * spec.p_max / (cfg.v0 + cfg.mass)
         # no piece narrower than the spacing of floats at p_max
         first = max(0.25 / (c2 * cfg.width * cfg.width), np.finfo(float).eps * spec.p_max)
@@ -177,11 +177,6 @@ def _split(edges: np.ndarray) -> np.ndarray:
     out[::2] = edges
     out[1::2] = 0.5 * (edges[:-1] + edges[1:])
     return out
-
-
-def _merged(edges: np.ndarray) -> np.ndarray:
-    """Panels merged in pairs; ``edges`` of an even panel count."""
-    return edges[::2]
 
 
 def _gauss_panels(edges: np.ndarray):
@@ -273,9 +268,10 @@ class PacketIntegrator:
     """Evaluates packet amplitudes on a fixed quadrature rule.
 
     The node table (momenta, energies, weighted coefficients) is built once
-    and never mutated, so a single instance can be shared freely.  ``cfg=None``
-    builds the free (incident) packet at unit mass; otherwise the
-    coefficients include the transmitted amplitude of ``cfg``.
+    and never mutated, so a single instance can be shared freely.  The
+    coefficients include the transmitted amplitude of ``cfg``; ``cfg=None``
+    is the barrier of width 0 at unit mass, where t(p) = 1: the free
+    (incident) packet.
 
     The rule is the graded rule of uniform base ``nodes``, a positive
     multiple of 64 (see the module docstring); ``self.nodes`` holds its
@@ -291,16 +287,15 @@ class PacketIntegrator:
         *,
         _edges: np.ndarray | None = None,
     ):
-        mass = 1.0 if cfg is None else float(cfg.mass)
+        cfg = _FREE if cfg is None else cfg
+        mass = cfg.mass
         # the gate's split and merged rules pass their panels instead
         self._edges = _graded_edges(spec, cfg, nodes) if _edges is None else _edges
         p, w = _gauss_panels(self._edges)
         self.nodes = p.size
         self.p = p
         self.energy = total_energy(p, mass)
-        coef = w * momentum_weight(p, spec).astype(complex)
-        if cfg is not None:
-            coef = coef * transmission_amplitude(p, cfg)
+        coef = w * momentum_weight(p, spec) * transmission_amplitude(p, cfg)
         # Constant amplitude normalization, see the module docstring.
         self._scale = 2.0 * float(total_energy(spec.p0, mass))
         # the two coefficient rows c0 (large component) and c2 (small)
@@ -448,11 +443,6 @@ def filter_stats(spec: PacketSpec, cfg: BarrierConfig, nodes: int = 2048) -> Fil
     )
 
 
-def _agree(a: float, b: float, tol: float) -> bool:
-    scale = max(abs(a), abs(b))
-    return scale == 0.0 or abs(a - b) <= tol * scale
-
-
 def converged_integrator(
     spec: PacketSpec,
     cfg: BarrierConfig | None,
@@ -491,6 +481,7 @@ def converged_integrator(
     bit do not count as converged to it.  A density of exactly 0 has no
     relative floor and skips the check.
     """
+    cfg = _FREE if cfg is None else cfg
     rule = integrator
     if rule is None:
         if nodes > MAX_NODES // 2:
@@ -510,8 +501,8 @@ def converged_integrator(
                 f"rounding floor {floor:.2g} of the probe density",
                 estimate=density,
             )
-    coarse = float(PacketIntegrator(spec, cfg, _edges=_merged(rule._edges)).density(z, t)[0])
-    while not _agree(density, coarse, tol):
+    coarse = float(PacketIntegrator(spec, cfg, _edges=rule._edges[::2]).density(z, t)[0])
+    while not abs(density - coarse) <= tol * max(abs(density), abs(coarse)):
         if 2 * rule.nodes > MAX_NODES:
             raise ConvergenceError(
                 f"density at probe (z={z}, t={t}) did not stabilize to {tol:g}: the "

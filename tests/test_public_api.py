@@ -4,6 +4,8 @@ the elementwise functions share numpy's scalar-in, scalar-out convention."""
 
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +82,21 @@ def test_package_surface_is_the_union_of_the_library_modules():
     union = ["__version__"] + [name for m in LIBRARY_MODULES for name in m.__all__]
     assert len(set(union)) == len(union)
     assert dirac_tunnel.__all__ == union
+
+
+def readme_module_names():
+    """The backticked identifiers of each ``- `module`:`` bullet under the README's
+    "Modules (...)" paragraph, by module."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text[text.index("\nModules ("):]
+    bullets = re.findall(r"^- `(\w+)`:(.*?)(?=^\S|\Z)", section, re.M | re.S)
+    return {name: set(re.findall(r"`([A-Za-z_]\w*)`", body)) for name, body in bullets}
+
+
+@pytest.mark.parametrize("module", [cli] + LIBRARY_MODULES, ids=lambda m: m.__name__)
+def test_readme_documents_exactly_the_public_surface(module):
+    documented = readme_module_names()
+    assert documented[module.__name__.rpartition(".")[2]] == set(module.__all__)
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

@@ -38,7 +38,7 @@ SPEC = canonical_spec()
 
 class TestPacketSpec:
     def test_for_barrier_window(self):
-        assert SPEC.window == (0.0, math.sqrt(3.0))
+        assert (SPEC.p_min, SPEC.p_max) == (0.0, math.sqrt(3.0))
         assert SPEC.p_min == 0.0
 
     def test_validation(self):
@@ -496,6 +496,26 @@ class TestNodePolicy:
         assert not panels & set(zip(merged._edges[:-1], merged._edges[1:]))
         assert merged.nodes == kept.nodes // 2
 
+    @pytest.mark.parametrize("nodes", [192, 2048])
+    def test_free_packet_is_the_width_0_barrier(self, nodes):
+        # at width 0, t(p) = 1, and v0 enters neither the rule nor the
+        # coefficients: the free packet is the same rule, bit for bit
+        free = PacketIntegrator(SPEC, None, nodes=nodes)
+        bare = PacketIntegrator(SPEC, BarrierConfig(v0=1.0, width=0.0), nodes=nodes)
+        assert (free.nodes, free._scale) == (bare.nodes, bare._scale)
+        assert np.array_equal(free._edges, bare._edges)
+        assert np.array_equal(free._coef, bare._coef)
+        ts, zs = np.linspace(-20.0, 20.0, 81), np.linspace(0.0, 40.0, 161)
+        assert np.array_equal(free.density(5.0, ts), bare.density(5.0, ts))
+        assert np.array_equal(free.density_z(zs, 3.0), bare.density_z(zs, 3.0))
+
+    def test_gate_keeps_the_width_0_rule_for_the_free_packet(self):
+        free = converged_integrator(SPEC, None, z=0.0, t=0.0, tol=1e-8)
+        bare = converged_integrator(SPEC, BarrierConfig(v0=1.0, width=0.0), z=0.0, t=0.0, tol=1e-8)
+        assert free.nodes == bare.nodes
+        assert np.array_equal(free._edges, bare._edges)
+        assert np.array_equal(free._coef, bare._coef)
+
     def test_gate_refuses_an_undoublable_start_before_building(self, monkeypatch):
         built = []
         init = PacketIntegrator.__init__
@@ -627,6 +647,14 @@ class TestConvergence:
         assert built == [4608]
         estimate = excinfo.value.estimate
         assert estimate == pytest.approx(2.29544239794700562e-08, rel=1e-6)
+
+    def test_nan_density_never_converges(self, monkeypatch):
+        # a NaN probe density fails every comparison, so the gate splits up
+        # to the ceiling and raises instead of keeping a rule
+        monkeypatch.setattr(PacketIntegrator, "density", lambda self, z, ts: np.array([np.nan]))
+        monkeypatch.setattr(wavepacket, "MAX_NODES", 8192)
+        with pytest.raises(ConvergenceError, match="did not stabilize"):
+            converged_integrator(SPEC, barrier(10.0), z=10.0, t=2.0, tol=1e-8)
 
     def test_ceiling_exhausted_raises_with_estimate(self, monkeypatch):
         # tol 1e-14 sits above the probe's rounding floor, but at L = 100 the
