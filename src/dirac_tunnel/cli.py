@@ -75,46 +75,6 @@ from .wavepacket import (
 
 __all__ = ["main", "run_scenario", "validate_config", "parse_config_text", "ScenarioConfig"]
 
-@dataclass(frozen=True)
-class PhysicsParams:
-    v0: float
-    mass: float
-    p0: float
-    d: float
-
-
-@dataclass(frozen=True)
-class GeometryParams:
-    widths: tuple[float, ...]
-    detectors: tuple[float, ...]
-    offset: float
-
-
-@dataclass(frozen=True)
-class NumericsParams:
-    nodes: int
-    tolerance: float
-    t_start: float
-    t_stop: float
-    t_step: float
-    peak_floor: float
-    curve_samples: int
-
-
-@dataclass(frozen=True)
-class OutputParams:
-    directory: str
-    format: str
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    scenario: str
-    physics: PhysicsParams
-    geometry: GeometryParams
-    numerics: NumericsParams
-    output: OutputParams
-
 
 # -- configuration loading --------------------------------------------------
 
@@ -209,6 +169,27 @@ _KEYS = {
     ("output", "format"): ("format", "csv", _parse_choice),
 }
 
+# PhysicsParams to OutputParams: a frozen dataclass per section, its fields in _KEYS order
+_SECTIONS = {
+    section: dataclasses.make_dataclass(
+        f"{section.title()}Params",
+        [field for (where, _), (field, _, _) in _KEYS.items() if where == section],
+        namespace={"__module__": __name__},
+        frozen=True,
+    )
+    for section in dict.fromkeys(section for section, _ in _KEYS)
+}
+PhysicsParams, GeometryParams, NumericsParams, OutputParams = _SECTIONS.values()
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    scenario: str
+    physics: PhysicsParams
+    geometry: GeometryParams
+    numerics: NumericsParams
+    output: OutputParams
+
 
 def validate_config(
     raw: dict[tuple[str, str], tuple[str, int]],
@@ -244,13 +225,7 @@ def validate_config(
     for (section, key), (field, _, parse) in _KEYS.items():
         value, line = merged[(section, key)]
         fields.setdefault(section, {})[field] = parse(section, key, value, line)
-    config = ScenarioConfig(
-        scenario=scenario,
-        physics=PhysicsParams(**fields["physics"]),
-        geometry=GeometryParams(**fields["geometry"]),
-        numerics=NumericsParams(**fields["numerics"]),
-        output=OutputParams(**fields["output"]),
-    )
+    config = ScenarioConfig(scenario, **{s: cls(**fields[s]) for s, cls in _SECTIONS.items()})
     geometry, numerics = config.geometry, config.numerics
 
     # physics bounds; barrier and packet constructors own the detailed rules

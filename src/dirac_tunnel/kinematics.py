@@ -86,6 +86,8 @@ class BarrierConfig:
                 f"rest energy mass={self.mass} (lower limit not covered); no "
                 "evanescent window exists"
             )
+        if not np.isfinite(self.v0 * (self.v0 + 2.0 * self.mass)):
+            raise ValueError(f"v0={self.v0}, mass={self.mass}: p_max overflows a float")
 
 
 def total_energy(p, mass: float = 1.0):
@@ -107,12 +109,6 @@ def momentum_window(cfg: BarrierConfig) -> tuple[float, float]:
     ``p_min = sqrt(v0^2 - mass^2)`` puts the energy at the barrier top,
     ``p_max = sqrt(v0*(v0 + 2*mass))`` at the upper gap edge ``v0 + mass``.
     """
-    if cfg.v0 < cfg.mass:
-        # Unreachable through a validated BarrierConfig; kept as a guard for
-        # callers that bypass construction.
-        raise UnsupportedRegimeError(
-            f"unsupported regime: v0={cfg.v0} < mass={cfg.mass}"
-        )
     p_min = np.sqrt((cfg.v0 - cfg.mass) * (cfg.v0 + cfg.mass))
     p_max = np.sqrt(cfg.v0 * (cfg.v0 + 2.0 * cfg.mass))
     return float(p_min), float(p_max)

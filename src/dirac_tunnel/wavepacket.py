@@ -43,8 +43,8 @@ of fewer than four points, take the direct sum, a unit phase per point.
 
 Every sum measures its phases from one origin per rule, the midpoints
 ``p_c`` and ``E_c`` of its momenta and energies, as ``(p - p_c) z - (E -
-E_c) t``, whose rounding stays small: densities drop the common phase
-``exp(i(p_c z - E_c t))`` of modulus one, and ``amplitudes`` restores it.
+E_c) t``, whose rounding stays small: ``amplitudes`` lack the phase ``exp(i(p_c
+z - E_c t))`` common to both components, which the densities drop.
 Near a single time t0 the amplitudes are a short Taylor series in t - t0
 (``PacketIntegrator._taylor``), a unit phase per node in all, whose reach
 the origin sets too; the peak refinement and ``density_dt`` read densities
@@ -104,8 +104,8 @@ class PacketSpec:
     p_max: float
 
     def __post_init__(self):
-        if not self.d > 0.0:
-            raise ValueError(f"packet width d must be positive, got {self.d}")
+        if not (self.d > 0.0 and math.isfinite(self.d * self.d)):
+            raise ValueError(f"packet width d must be positive, d^2 finite, got {self.d}")
         if not 0.0 <= self.p_min < self.p_max:
             raise ValueError(
                 f"invalid momentum window [{self.p_min}, {self.p_max}]"
@@ -265,7 +265,7 @@ def _modulus2(g, f):
 
 
 class PacketIntegrator:
-    """Evaluates packet amplitudes on a fixed quadrature rule.
+    """Evaluates packet amplitudes, up to their shared phase, on a fixed quadrature rule.
 
     The node table (momenta, energies, weighted coefficients) is built once
     and never mutated, so a single instance can be shared freely.  The
@@ -276,7 +276,8 @@ class PacketIntegrator:
     The rule is the graded rule of uniform base ``nodes``, a positive
     multiple of 64 (see the module docstring); ``self.nodes`` holds its
     node count.  Every evaluation returns arrays over its axis of times
-    or positions; a scalar axis is an axis of one point.
+    or positions (a scalar axis is one point); ``density`` is the modulus
+    of ``amplitudes``.
     """
 
     def __init__(
@@ -300,11 +301,9 @@ class PacketIntegrator:
         self._scale = 2.0 * float(total_energy(spec.p0, mass))
         # the two coefficient rows c0 (large component) and c2 (small)
         self._coef = np.stack((coef, coef * (p / (self.energy + mass))))
-        # the phase origin (p_c, E_c) of every sum, the rates from it, the series' reach
-        self._p_c = 0.5 * (p.min() + p.max())
-        self._e_c = 0.5 * (self.energy.min() + self.energy.max())
-        self._wave = p - self._p_c
-        self._rate = self.energy - self._e_c
+        # the rates from the phase origin (p_c, E_c) of every sum, the series' reach
+        self._wave = p - 0.5 * (p.min() + p.max())
+        self._rate = self.energy - 0.5 * (self.energy.min() + self.energy.max())
         self._reach = _TAYLOR_REACH / np.max(np.abs(self._rate))
 
     # -- core evaluation ---------------------------------------------------
@@ -348,19 +347,17 @@ class PacketIntegrator:
         return out.reshape(rows.shape[0], -1)[:, : axis.size]
 
     def amplitudes(self, z: float, ts):
-        """Large and small component amplitudes at position z over times ts.
+        """Large and small component amplitudes ``(g, f)`` at position z over times ts.
 
-        Summed from the rule's origin, then given their absolute phase
-        ``exp(i(p_c z - E_c t))``, a unit phase per time.
+        Summed from the rule's origin, so both lack the phase ``exp(i(p_c z
+        - E_c t))`` they share, which no density sees.
         """
         g, f = self._scale * self._sum_over_nodes(self._coef, -self._rate, ts, self._wave * z)
-        phase = _unit_phase(-self._e_c, ts, self._p_c * z)
-        return g * phase, f * phase
+        return g, f
 
     def density(self, z: float, ts):
-        """|psi|^2 at position z for each time in ts, summed from the rule's origin."""
-        sums = self._sum_over_nodes(self._coef, -self._rate, ts, self._wave * z)
-        return _modulus2(*self._scale * sums)
+        """|psi|^2 at position z for each time in ts: the modulus of :meth:`amplitudes`."""
+        return _modulus2(*self.amplitudes(z, ts))
 
     def density_dt(self, z: float, ts):
         """|psi|^2 and its first two time derivatives at z, as arrays over times ts.

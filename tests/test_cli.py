@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -257,6 +258,24 @@ class TestMainErrors:
                      "--config", str(path)])
         assert code == 2
         assert "error: cannot read config: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, overrides, field", [
+        ("custom", ["physics.d=1e155"], "packet width d"),
+        ("fig1_filter", ["physics.v0=1e155", "physics.mass=1e155"], "v0=1e+155"),
+        ("fig3_times", ["physics.v0=1e155", "physics.mass=1e155"], "v0=1e+155"),
+    ], ids=["custom-d", "fig1_filter-v0_mass", "fig3_times-v0_mass"])
+    def test_physics_that_overflows_exits_two(self, tmp_path, scenario, overrides, field):
+        # d^2 or v0 (v0 + 2 mass) beyond the float range: invalid configuration,
+        # not a crash or a numeric failure
+        argv = [sys.executable, "-W", "error", "-m", "dirac_tunnel", "run",
+                "--scenario", scenario, "--out", str(tmp_path)]
+        for override in overrides:
+            argv += ["--set", override]
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        result = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=str(REPO))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert field in result.stderr
 
     def test_invalid_config_value(self, tmp_path):
         code = main(["run", "--scenario", "custom", "--out", str(tmp_path),
@@ -628,6 +647,14 @@ class TestConfigFileFlow:
         assert code == 0
         _, _, rows = read_csv(out / "filter_L0.csv")
         assert len(rows) == 8
+
+    def test_readme_example_sets_every_key(self):
+        # the README's run.cfg, as written: every key of the table, all valid
+        readme = (REPO / "README.md").read_text()
+        block = re.search(r"^```\n(# run\.cfg\n.*?)^```", readme, re.S | re.M).group(1)
+        raw = parse_config_text(block)
+        assert set(raw) == set(cli._KEYS)
+        assert validate_config(raw, "custom")
 
 
 class TestFailurePath:

@@ -44,6 +44,16 @@ class TestBarrierConfig:
         with pytest.raises(ValueError, match="finite"):
             BarrierConfig(**params)
 
+    @pytest.mark.parametrize("v0, mass", [(1e155, 1e155), (1e155, 1.0)])
+    def test_rejects_window_edge_that_overflows(self, v0, mass):
+        # p_max = sqrt(v0 (v0 + 2 mass)) would be inf
+        with pytest.raises(ValueError, match=r"v0=1e\+155"):
+            BarrierConfig(v0=v0, width=1.0, mass=mass)
+
+    def test_largest_window_edge_is_finite(self):
+        cfg = BarrierConfig(v0=1e150, width=1.0, mass=1e150)
+        assert momentum_window(cfg)[1] == pytest.approx(math.sqrt(3.0) * 1e150, rel=1e-15)
+
 
 class TestWindow:
     def test_canonical_window(self):

@@ -51,6 +51,15 @@ class TestPacketSpec:
         with pytest.raises(ValueError):
             PacketSpec(p0=1.5, d=1.0, p_min=0.0, p_max=1.0)
 
+    def test_rejects_width_whose_square_overflows(self):
+        with pytest.raises(ValueError, match=r"d\^2 finite, got 1e\+155"):
+            PacketSpec(p0=0.5, d=1e155, p_min=0.0, p_max=1.0)
+
+    def test_tiny_width_is_valid(self):
+        # d^2 underflows to 0: a flat weight over the window
+        spec = PacketSpec(p0=0.5, d=1e-300, p_min=0.0, p_max=1.0)
+        assert momentum_weight(0.0, spec) == 1.0
+
 
 class TestMomentumWeight:
     def test_peak_and_truncation(self):
@@ -257,19 +266,33 @@ class TestFactorizedKernel:
         ],
         ids=["L10_even", "L10_uneven", "L800_peak"],
     )
-    def test_amplitudes_in_absolute_phase(self, width, nodes, ts):
-        # complex g and f at the downstream face, not only |g|^2 + |f|^2,
-        # against the direct sum of c exp(i(p z - E t)) over the node table
+    def test_amplitudes_up_to_their_common_phase(self, width, nodes, ts):
+        # |g|^2, |f|^2 and g conj(f) at the downstream face, which the phase
+        # both components share leaves alone, against the direct sum of
+        # c exp(i(p z - E t)) over the node table
         eng = PacketIntegrator(SPEC, barrier(width), nodes=nodes)
-        want = np.concatenate([
+        want_g, want_f = np.concatenate([
             (eng._scale * eng._coef) @ np.exp(1j * np.outer(eng.p, np.full_like(part, width))
                                               - 1j * np.outer(eng.energy, part))
             for part in np.array_split(ts, 9)
         ], axis=1)
-        bound = 1e-13 * np.max(np.abs(want[0]))
-        for got, expected in zip(eng.amplitudes(width, ts), want):
+        g, f = eng.amplitudes(width, ts)
+        bound = 1e-14 * np.max(np.abs(want_g)) ** 2
+        for got, expected in [
+            (g * g.conj(), want_g * want_g.conj()),
+            (f * f.conj(), want_f * want_f.conj()),
+            (g * f.conj(), want_g * want_f.conj()),
+        ]:
             assert got.shape == expected.shape
             assert np.max(np.abs(got - expected)) <= bound
+
+    @pytest.mark.parametrize(
+        "ts", [scan_grid((-100.0, 100.0), 0.25), 2.0 + 0.25 * OFFSETS[-1]], ids=["even", "uneven"]
+    )
+    def test_density_is_the_modulus_of_the_amplitudes(self, ts):
+        eng = PacketIntegrator(SPEC, barrier(10.0))
+        g, f = eng.amplitudes(10.0, ts)
+        assert np.array_equal(eng.density(10.0, ts), (g * g.conj() + f * f.conj()).real)
 
     @pytest.mark.parametrize(
         "evaluate",
