@@ -112,11 +112,6 @@ def parse_config_text(text: str) -> dict[tuple[str, str], tuple[str, int]]:
     return entries
 
 
-def _check_points(what: str, count: float) -> None:
-    if count > _MAX_POINTS:
-        raise ConfigError(f"{what}: {count:.6g} points exceed the limit of {_MAX_POINTS}")
-
-
 def _parse_float(section, key, value, line):
     try:
         out = float(value)
@@ -149,31 +144,41 @@ def _parse_choice(section, key, value, line):
 
 
 # Every config key: (section, key) -> (field of the section's dataclass,
-# default, parser).  Values are parsed, and errors reported, in this order.
+# default, parser[, test, rule]): a key bound on its own has a test of its
+# parsed value and the rule it states.  Values are parsed and tested, and
+# errors reported with their line, in this order.
 _KEYS = {
     ("physics", "v0"): ("v0", "1.0", _parse_float),
     ("physics", "mass"): ("mass", "1.0", _parse_float),
     ("physics", "p0"): ("p0", repr(math.sqrt(3.0) / 2.0), _parse_float),
     ("physics", "d"): ("d", "10.0", _parse_float),
-    ("geometry", "L"): ("widths", "10", _parse_float_list),
+    ("geometry", "L"): ("widths", "10", _parse_float_list, bool, "must list a barrier width"),
     ("geometry", "D"): ("detectors", "", _parse_float_list),
     ("geometry", "offset"): ("offset", "0.0", _parse_float),
-    ("numerics", "nodes"): ("nodes", "2048", _parse_int),
-    ("numerics", "tolerance"): ("tolerance", "1e-8", _parse_float),
+    # whole 64-point panels, up to the gate's node ceiling
+    ("numerics", "nodes"): ("nodes", "2048", _parse_int,
+                            lambda n: 64 <= n <= MAX_NODES and not n % 64,
+                            f"must be a multiple of 64 from 64 to {MAX_NODES}"),
+    ("numerics", "tolerance"): ("tolerance", "1e-8", _parse_float,
+                                lambda x: 0.0 < x < 1.0, "must lie in (0, 1)"),
     ("numerics", "t_start"): ("t_start", "-100.0", _parse_float),
     ("numerics", "t_stop"): ("t_stop", "100.0", _parse_float),
     ("numerics", "t_step"): ("t_step", "0.25", _parse_float),
-    ("numerics", "peak_floor"): ("peak_floor", "1e-6", _parse_float),
-    ("numerics", "curve_samples"): ("curve_samples", "512", _parse_int),
+    ("numerics", "peak_floor"): ("peak_floor", "1e-6", _parse_float,
+                                 lambda x: 0.0 < x <= 1.0, "must lie in (0, 1]"),
+    ("numerics", "curve_samples"): ("curve_samples", "512", _parse_int,
+                                    lambda n: 2 <= n <= _MAX_POINTS,
+                                    f"must be from 2 to {_MAX_POINTS}"),
     ("output", "directory"): ("directory", ".", _parse_text),
-    ("output", "format"): ("format", "csv", _parse_choice),
+    ("output", "format"): ("format", "csv", _parse_choice,
+                           ("csv", "json").__contains__, "must be csv or json"),
 }
 
 # PhysicsParams to OutputParams: a frozen dataclass per section, its fields in _KEYS order
 _SECTIONS = {
     section: dataclasses.make_dataclass(
         f"{section.title()}Params",
-        [field for (where, _), (field, _, _) in _KEYS.items() if where == section],
+        [field for (where, _), (field, *_) in _KEYS.items() if where == section],
         namespace={"__module__": __name__},
         frozen=True,
     )
@@ -197,17 +202,22 @@ def validate_config(
     overrides: dict[tuple[str, str], str] | None = None,
     out_dir: str | None = None,
 ) -> ScenarioConfig:
-    """Apply defaults, types and physics bounds; reject unknown keys.
+    """Apply defaults, types and bounds; reject unknown keys.
 
     ``raw`` comes from :func:`parse_config_text`; ``overrides`` (from
     ``--set``) win over the file, ``out_dir`` (from ``--out``) wins over
     both for the output directory.
+
+    Each rule is checked once: a bound on one key by its ``_KEYS`` row, with
+    the key's line; the physics, every width's too, by ``BarrierConfig`` and
+    ``PacketSpec``, the time grid by :func:`scan_grid`, and rules that span
+    keys here.  Those errors name the values.
     """
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}")
 
     merged: dict[tuple[str, str], tuple[str, int | None]] = {
-        path: (default, None) for path, (_, default, _) in _KEYS.items()
+        path: (default, None) for path, (_, default, *_) in _KEYS.items()
     }
     merged.update({path: (value, None) for path, value in _SCENARIOS[scenario][1].items()})
     for path, (value, line) in raw.items():
@@ -222,23 +232,23 @@ def validate_config(
         merged[("output", "directory")] = (out_dir, None)
 
     fields: dict[str, dict] = {}
-    for (section, key), (field, _, parse) in _KEYS.items():
+    for (section, key), (field, _, parse, *rule) in _KEYS.items():
         value, line = merged[(section, key)]
-        fields.setdefault(section, {})[field] = parse(section, key, value, line)
+        parsed = parse(section, key, value, line)
+        if rule and not rule[0](parsed):
+            raise ConfigError(f"{section}.{key} {rule[1]}, got {value!r}", line=line)
+        fields.setdefault(section, {})[field] = parsed
     config = ScenarioConfig(scenario, **{s: cls(**fields[s]) for s, cls in _SECTIONS.items()})
     geometry, numerics = config.geometry, config.numerics
 
     # physics bounds; barrier and packet constructors own the detailed rules
     try:
         _packet(config)
+        for width in geometry.widths:
+            _barrier(config, width)
     except (DiracTunnelError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    if not geometry.widths:
-        raise ConfigError("geometry.L must list at least one barrier width")
-    for width in geometry.widths:
-        if width < 0.0:
-            raise ConfigError(f"geometry.L: widths must be non-negative, got {width}")
     # these scenarios write one file per width, named by its tag
     if scenario in ("fig1_filter", "fig2_peaks", "custom"):
         tagged: dict[str, float] = {}
@@ -250,6 +260,8 @@ def validate_config(
                     f"write files tagged L{tag}"
                 )
             tagged[tag] = width
+    if scenario == "fig3_times" and 0.0 in geometry.widths:
+        raise ConfigError("geometry.L must list only positive widths for fig3_times, got 0")
     if scenario == "fig4_transit" and not geometry.detectors:
         raise ConfigError("geometry.D must list at least one detector for fig4_transit")
     if geometry.detectors:
@@ -260,26 +272,10 @@ def validate_config(
                     f"geometry.D: detector {det} sits before the downstream "
                     f"barrier face at {needed}"
                 )
-    # whole 64-point panels, up to the gate's node ceiling
-    if not 64 <= numerics.nodes <= MAX_NODES or numerics.nodes % 64:
-        raise ConfigError(
-            f"numerics.nodes must be a multiple of 64 from 64 to {MAX_NODES}, got {numerics.nodes}"
-        )
-    if not 0.0 < numerics.tolerance < 1.0:
-        raise ConfigError(f"numerics.tolerance must lie in (0, 1), got {numerics.tolerance}")
-    if numerics.t_step > 0.0:
-        _check_points("numerics.t_step", (numerics.t_stop - numerics.t_start) / numerics.t_step + 1)
     try:
         scan_grid((numerics.t_start, numerics.t_stop), numerics.t_step)
     except ValueError as exc:
         raise ConfigError(f"numerics.t_start, t_stop, t_step: {exc}") from None
-    if not 0.0 < numerics.peak_floor <= 1.0:
-        raise ConfigError(f"numerics.peak_floor must lie in (0, 1], got {numerics.peak_floor}")
-    if numerics.curve_samples < 2:
-        raise ConfigError(f"numerics.curve_samples must be at least 2, got {numerics.curve_samples}")
-    _check_points("numerics.curve_samples", numerics.curve_samples)
-    if config.output.format not in ("csv", "json"):
-        raise ConfigError(f"output.format must be csv or json, got {config.output.format!r}")
     return config
 
 
@@ -582,11 +578,12 @@ def _parse_sweep_range(text: str) -> str:
         raise ConfigError(f"--L expects finite start:stop:step, got {text!r}")
     if step <= 0.0 or stop < start:
         raise ConfigError(f"--L range is empty: {text!r}")
-    span = (stop - start) / step
-    _check_points("--L", span + 1.0)
-    count = int(math.floor(span + 1e-9)) + 1
+    # the widths are start + i * step for i = 0 ... floor(last), inf included
+    last = (stop - start) / step + 1e-9
+    if last >= _MAX_POINTS:
+        raise ConfigError(f"--L: {np.floor(last) + 1:.7g} points exceed the limit of {_MAX_POINTS}")
     # exact values: sweep writes no per-width files, so no tag is needed
-    return ", ".join(repr(start + i * step) for i in range(count))
+    return ", ".join(repr(start + i * step) for i in range(int(last) + 1))
 
 
 def _build_parser() -> argparse.ArgumentParser:

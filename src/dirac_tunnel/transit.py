@@ -116,10 +116,11 @@ def scan_grid(t_range: tuple[float, float], step: float) -> np.ndarray:
         raise ValueError(f"scan step {step} must be positive and the range {t_range} finite")
     if not t_stop > t_start:
         raise ValueError(f"empty time range {t_range}")
-    count = (t_stop - t_start) / step + 1
+    count = (t_stop + 0.5 * step - t_start) / step  # np.arange holds ceil(count)
     if count > _MAX_POINTS:
         raise ValueError(
-            f"scan step {step} makes {count:.6g} grid points, over the limit of {_MAX_POINTS}"
+            f"scan step {step} makes {np.ceil(count):.7g} grid points, "
+            f"over the limit of {_MAX_POINTS}"
         )
     ts = np.arange(t_start, t_stop + 0.5 * step, step)
     if ts.size < 3:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirac_tunnel import cli
+from dirac_tunnel import cli, transit
 from dirac_tunnel.cli import (
     SCENARIOS,
     main,
@@ -183,6 +183,22 @@ class TestValidateConfig:
         assert excinfo.value.line == 2
         assert "not a number" in str(excinfo.value)
 
+    @pytest.mark.parametrize("text", [
+        "[geometry]\nL = ,\n",
+        "[numerics]\nnodes = 100\n",
+        "[numerics]\ntolerance = 1\n",
+        "[numerics]\npeak_floor = 0\n",
+        "[numerics]\ncurve_samples = 1000001\n",
+        "[output]\nformat = yaml\n",
+    ], ids=["geometry.L", "numerics.nodes", "numerics.tolerance", "numerics.peak_floor",
+            "numerics.curve_samples", "output.format"])
+    def test_single_key_bound_names_its_line(self, request, text):
+        raw = parse_config_text(text)
+        with pytest.raises(ConfigError) as excinfo:
+            validate_config(raw, "custom")
+        assert excinfo.value.line == 2
+        assert str(excinfo.value).startswith(f"line 2: {request.node.callspec.id} must ")
+
     def test_transit_needs_a_detector(self):
         overrides = {("geometry", "D"): ""}
         with pytest.raises(ConfigError, match="geometry.D"):
@@ -277,6 +293,37 @@ class TestMainErrors:
         assert "Traceback" not in result.stderr
         assert field in result.stderr
 
+    def test_negative_width_is_refused_by_its_barrier(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("[geometry]\nL = -5\n")
+        code = main(["run", "--scenario", "custom", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: width must be non-negative, got -5.0\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scenario", "fig3_times", "--set", "geometry.L=0,4"],
+        ["sweep", "--L", "0:8:4"],
+    ], ids=["run", "sweep"])
+    def test_times_refuse_a_zero_width(self, tmp_path, capsys, argv):
+        # no tunneling time without a barrier: invalid configuration (exit 2),
+        # not a numeric failure of the item (exit 3)
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: geometry.L must list only positive widths for fig3_times, got 0\n"
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_sweep_of_positive_widths_runs(self, tmp_path):
+        assert main(["sweep", "--L", "4:12:4", "--out", str(tmp_path)]) == 0
+        assert [row[0] for row in read_csv(tmp_path / "times.csv")[2]] == ["4", "8", "12"]
+
+    @pytest.mark.parametrize("scenario", ["fig1_filter", "fig2_peaks", "fig4_transit", "table1",
+                                          "custom"])
+    def test_other_scenarios_accept_a_zero_width(self, scenario):
+        config = validate_config({}, scenario, overrides={("geometry", "L"): "0, 10"})
+        assert config.geometry.widths == (0.0, 10.0)
+
     def test_invalid_config_value(self, tmp_path):
         code = main(["run", "--scenario", "custom", "--out", str(tmp_path),
                      "--set", "numerics.nodes=10"])
@@ -344,11 +391,14 @@ class TestMainErrors:
         raise AssertionError("an oversized axis reached its allocation")
 
     def test_oversized_time_grid_is_refused_before_it_is_built(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "scan_grid", self.unreachable)
+        # scan_grid counts the grid before np.arange would build it
+        monkeypatch.setattr(transit.np, "arange", self.unreachable)
+        monkeypatch.setattr(cli, "run_scenario", self.unreachable)
         code = main(["run", "--scenario", "fig3_times", "--set", "numerics.t_step=1e-12",
                      "--out", str(tmp_path)])
         assert code == 2
-        message = "numerics.t_step: 2e+14 points exceed the limit of 1000000"
+        message = ("numerics.t_start, t_stop, t_step: scan step 1e-12 makes 2e+14 grid points, "
+                   "over the limit of 1000000")
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_oversized_filter_curve_is_refused_before_the_run(self, tmp_path, capsys, monkeypatch):
@@ -356,7 +406,7 @@ class TestMainErrors:
         code = main(["run", "--scenario", "fig1_filter", "--set",
                      "numerics.curve_samples=100000000000", "--out", str(tmp_path)])
         assert code == 2
-        message = "numerics.curve_samples: 1e+11 points exceed the limit of 1000000"
+        message = "numerics.curve_samples must be from 2 to 1000000, got '100000000000'"
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("spec, count", [("0:1e12:1", "1e+12"), ("0:1:5e-324", "inf")])
@@ -377,12 +427,27 @@ class TestMainErrors:
             **grid, ("numerics", "t_stop"): repr(0.25 * (limit - 1)),
             ("numerics", "curve_samples"): str(limit)})
         assert at.numerics.curve_samples == limit
-        for key, value in [("t_stop", repr(0.25 * limit)), ("curve_samples", str(limit + 1))]:
-            with pytest.raises(ConfigError, match=f"points exceed the limit of {limit}$"):
+        refused = [
+            ("t_stop", repr(0.25 * limit), f"grid points, over the limit of {limit}$"),
+            ("curve_samples", str(limit + 1), f"must be from 2 to {limit}, got '{limit + 1}'$"),
+        ]
+        for key, value, message in refused:
+            with pytest.raises(ConfigError, match=message):
                 validate_config({}, "fig1_filter", overrides={**grid, ("numerics", key): value})
         assert cli._parse_sweep_range(f"0:{limit - 1}:1").count(",") == limit - 1
         with pytest.raises(ConfigError, match=f"points exceed the limit of {limit}$"):
             cli._parse_sweep_range(f"0:{limit}:1")
+
+    def test_axes_count_the_points_they_would_build(self):
+        # a fractional end inside the last step adds no point: 1,000,000 points
+        limit = cli._MAX_POINTS
+        grid = {("numerics", "t_start"): "0", ("numerics", "t_stop"): "999999.5",
+                ("numerics", "t_step"): "1"}
+        assert validate_config({}, "fig3_times", overrides=grid).numerics.t_stop == 999999.5
+        assert cli._parse_sweep_range("1:1000000.5:1").count(",") == limit - 1
+        # one point more is refused, with a count that reads over the limit
+        with pytest.raises(ConfigError, match=f"^--L: 1000001 points exceed the limit of {limit}$"):
+            cli._parse_sweep_range("1:1000001:1")
 
     def test_unwritable_output_directory(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -210,6 +210,14 @@ class TestScanBehavior:
         with pytest.raises(ValueError, match="over the limit"):
             scan_grid((0.0, 0.25 * limit), 0.25)
 
+    def test_grid_counts_the_points_np_arange_would_hold(self):
+        # 999999.5 lies inside the last step: np.arange holds 1,000,000 points
+        assert scan_grid((0.0, 999999.5), 1.0).size == transit._MAX_POINTS
+        with pytest.raises(ValueError, match=r"makes 1000001 grid points, over the limit"):
+            scan_grid((0.0, 1000000.0), 1.0)
+        with pytest.raises(ValueError, match=r"makes inf grid points, over the limit"):
+            scan_grid((0.0, 1.0), 5e-324)
+
     def test_reported_extrema_are_refined_together(self, monkeypatch):
         # the first Newton round holds every reported extremum; later rounds
         # hold only the extrema still moving
