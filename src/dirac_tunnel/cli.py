@@ -41,7 +41,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -51,12 +50,14 @@ from .asymptotics import (
     opaque_tunneling_velocity,
     series_coefficients,
 )
+from ._text import _cells, _text_rows
 from .errors import ConfigError, DiracTunnelError
 # momentum_window is not called here, but the benchmark's tracer
 # (perfbench/tracer.py) wraps it under this module's name
 from .kinematics import BarrierConfig, momentum_window  # noqa: F401
 from .transit import (
     _MAX_POINTS,
+    _check_grid,
     numeric_tunneling_time,
     scan_grid,
     scan_peaks,
@@ -210,8 +211,8 @@ def validate_config(
 
     Each rule is checked once: a bound on one key by its ``_KEYS`` row, with
     the key's line; the physics, every width's too, by ``BarrierConfig`` and
-    ``PacketSpec``, the time grid by :func:`scan_grid`, and rules that span
-    keys here.  Those errors name the values.
+    ``PacketSpec``, the time grid as :func:`scan_grid` counts it, without
+    building it, and rules that span keys here.  Those errors name the values.
     """
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}")
@@ -273,29 +274,13 @@ def validate_config(
                     f"barrier face at {needed}"
                 )
     try:
-        scan_grid((numerics.t_start, numerics.t_stop), numerics.t_step)
+        _check_grid((numerics.t_start, numerics.t_stop), numerics.t_step)
     except ValueError as exc:
         raise ConfigError(f"numerics.t_start, t_stop, t_step: {exc}") from None
     return config
 
 
 # -- output plumbing ---------------------------------------------------------
-
-
-def _text_rows(columns) -> str:
-    """The cells of equal-length columns as CSV text, one line per row.
-
-    One row template, ``%s`` for a column of strings and ``%.17g`` for any
-    other (bools print as 1/0, ints below 1e17 as digits), formats the whole
-    body with a single ``%``.  No columns (rows transposed from none) give no
-    text.
-    """
-    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
-    if not columns:
-        return ""
-    row = ",".join("%s" if c and isinstance(c[0], str) else "%.17g" for c in columns)
-    cells = tuple(chain.from_iterable(zip(*columns, strict=True)))
-    return f"{row}\n" * len(columns[0]) % cells
 
 
 class _Emitter:
@@ -399,8 +384,8 @@ def _packet(config: ScenarioConfig) -> PacketSpec:
 
 def _filter(config, emitter, spec, scan):
     p_axis = np.linspace(spec.p_min, spec.p_max, config.numerics.curve_samples)
-    # the same in every width's file: formatted once per run, as one text column
-    shared = _text_rows([p_axis, momentum_weight(p_axis, spec)]).splitlines()
+    # the same in every width's file: their cells built once per run, as one block
+    shared = np.hstack([_cells(p_axis), _cells(momentum_weight(p_axis, spec))])
     stats_rows = []
     for width in config.geometry.widths:
         cfg = _barrier(config, width)

@@ -103,14 +103,8 @@ def _extremum(eng: PacketIntegrator, z: float, ts: np.ndarray, step: float):
 _MAX_POINTS = 1_000_000  # of any axis (time grid, filter curve, sweep), counted before it is built
 
 
-def scan_grid(t_range: tuple[float, float], step: float) -> np.ndarray:
-    """The coarse time grid of a scan: ``t_range`` inclusive, spaced ``step``.
-
-    Raises ``ValueError`` when the step is not positive and finite or the
-    range not finite, when the range is empty or holds fewer than three
-    grid points, too few for an interior maximum, and when it would hold
-    more than ``_MAX_POINTS`` (1,000,000), counted before the grid is built.
-    """
+def _check_grid(t_range: tuple[float, float], step: float) -> None:
+    """:func:`scan_grid`'s rules, checked on the count of its grid, not the grid."""
     t_start, t_stop = float(t_range[0]), float(t_range[1])
     if not (0.0 < step < np.inf and np.isfinite([t_start, t_stop]).all()):
         raise ValueError(f"scan step {step} must be positive and the range {t_range} finite")
@@ -122,10 +116,20 @@ def scan_grid(t_range: tuple[float, float], step: float) -> np.ndarray:
             f"scan step {step} makes {np.ceil(count):.7g} grid points, "
             f"over the limit of {_MAX_POINTS}"
         )
-    ts = np.arange(t_start, t_stop + 0.5 * step, step)
-    if ts.size < 3:
+    if count <= 2.0:
         raise ValueError("time range shorter than three scan steps")
-    return ts
+
+
+def scan_grid(t_range: tuple[float, float], step: float) -> np.ndarray:
+    """The coarse time grid of a scan: ``t_range`` inclusive, spaced ``step``.
+
+    Raises ``ValueError`` when the step is not positive and finite or the
+    range not finite, when the range is empty or holds fewer than three
+    grid points, too few for an interior maximum, and when it would hold
+    more than ``_MAX_POINTS`` (1,000,000), counted before the grid is built.
+    """
+    _check_grid(t_range, step)
+    return np.arange(float(t_range[0]), float(t_range[1]) + 0.5 * step, step)
 
 
 def scan_peaks(

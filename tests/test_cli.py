@@ -5,12 +5,14 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dirac_tunnel import cli, transit
+from dirac_tunnel import _text, cli, transit
 from dirac_tunnel.cli import (
     SCENARIOS,
     main,
@@ -401,6 +403,11 @@ class TestMainErrors:
                    "over the limit of 1000000")
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_accepted_time_grid_is_counted_not_built(self, monkeypatch, scenario):
+        monkeypatch.setattr(transit.np, "arange", self.unreachable)
+        assert validate_config({}, scenario).numerics.t_step == 0.25
+
     def test_oversized_filter_curve_is_refused_before_the_run(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_scenario", self.unreachable)
         code = main(["run", "--scenario", "fig1_filter", "--set",
@@ -684,6 +691,138 @@ class TestTableCells:
     def test_columns_of_unequal_length_are_refused(self, tmp_path):
         with pytest.raises(ValueError):
             self.emitter(tmp_path).table("bad.csv", ["a", "b"], [np.zeros(2), np.zeros(3)])
+
+    @staticmethod
+    def written(monkeypatch, values):
+        """The cells ``_text_rows`` writes for one column, and the values of
+        those it sent through ``format`` rather than writing them in bulk."""
+        sent = []
+
+        def spy(value, spec):
+            sent.append(value)
+            return format(value, spec)
+
+        monkeypatch.setattr(_text, "format", spy, raising=False)
+        lines = cli._text_rows([values]).splitlines()
+        monkeypatch.delattr(_text, "format")
+        return lines, np.array(sent, dtype=float)
+
+    @staticmethod
+    def in_bulk_range(values):
+        magnitude = np.abs(values)
+        return (1e-99 <= magnitude) & (magnitude < 1e-4)
+
+    def test_random_doubles_read_as_format(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        values = np.frombuffer(rng.bytes(8 * 250_000), dtype=np.float64).copy()
+        # a tenth with a zero exponent field: subnormals of both signs
+        values.view(np.uint64)[::10] &= ~np.uint64(0x7FF << 52)
+        lines, sent = self.written(monkeypatch, values)
+        assert lines == [format(v, ".17g") for v in values.tolist()]
+        # the bulk path, not the fallback, wrote the cells it covers
+        in_range = self.in_bulk_range(values).sum()
+        assert in_range > 30_000
+        assert self.in_bulk_range(sent).sum() < in_range / 100
+        exponent = values.view(np.uint64) >> np.uint64(52) & np.uint64(0x7FF)
+        assert np.count_nonzero(exponent == 0) > 20_000
+
+    @pytest.mark.parametrize("log10_low", [False, True], ids=["log10", "log10_one_ulp_low"])
+    def test_powers_of_ten_and_their_neighbours(self, monkeypatch, log10_low):
+        if log10_low:
+            # an exponent estimate one too low leaves N at 1e17 or above on a
+            # power of ten: those cells must still read as format
+            log10 = np.log10
+            monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), -np.inf))
+        tens = np.array([float(f"1e{e}") for e in range(-300, 300)])
+        values = np.concatenate([np.nextafter(tens, 0.0), tens, np.nextafter(tens, np.inf)])
+        values = np.concatenate([values, -values])
+        lines, _ = self.written(monkeypatch, values)
+        assert lines == [format(v, ".17g") for v in values.tolist()]
+        # the double of 1e-79 lies below 10**-79 and prints as it: a carry at 17 digits
+        assert Fraction(1e-79) < Fraction(1, 10**79) and "1e-79" in lines
+
+    def test_bulk_range_boundaries(self, monkeypatch):
+        edges = [1e-4, 9.99999999999999999e-5, 1e-5, 9.99999999999999999e-6, 1e-99,
+                 9.99999999999999999e-100, 1e-100, 0.5e-4, 1.5e-99, 2.0**-13, 2.0**-329]
+        values = np.array(edges)
+        values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, 1.0)])
+        values = np.concatenate([values, -values])
+        lines, _ = self.written(monkeypatch, values)
+        assert lines == [format(v, ".17g") for v in values.tolist()]
+        assert {"0.0001", "9.9999999999999991e-05", "1e-99", "-1e-100"} <= set(lines)
+
+    def test_exact_decimal_midpoints_round_half_even(self, monkeypatch):
+        # j / 2**s is j * 5**s / 10**s exactly: for odd j with j * 5**s of 18
+        # digits, the 18th significant digit is a final 5, a tie at 17 digits.
+        # In the bulk range these exist for s = 22 ... 25 only (k = -5 ... -8).
+        digits = {j / 2**s: str(j * 5**s) for s in range(22, 26)
+                  for j in range(1, 10**18 // 5**s + 1, 2) if len(str(j * 5**s)) == 18}
+        assert len(digits) > 200 and all(d[-1] == "5" for d in digits.values())
+        values = np.array([*digits, *(-v for v in digits)])
+        lines, sent = self.written(monkeypatch, values)
+        assert lines == [format(v, ".17g") for v in values.tolist()]
+        assert len(sent) == len(values)  # a tie is never written in bulk
+
+    def test_near_ties_read_as_format(self, monkeypatch):
+        # v = j / 2**(t + m) has |v| * 10**t = j * 5**t / 2**m; j with
+        # j * 5**t = 2**(m - 1) + d (mod 2**m) puts the fraction of that
+        # d / 2**m from one half: from 1e-17 to 1e-13 off a tie, not on one
+        values = []
+        for t in range(24, 40):  # k = 16 - t from -8 to -23
+            for m in (56, 60, 63):
+                inverse = pow(5**t, -1, 2**m)
+                for d in range(-2000, 2001):
+                    j = (2 ** (m - 1) + d) * inverse % 2**m
+                    if d and j < 2**53 and 10**16 <= (j * 5**t) >> m < 10**17:
+                        values.append(j / 2 ** (t + m))
+        assert len(values) > 500
+        lines, _ = self.written(monkeypatch, np.array(values))
+        assert lines == [format(v, ".17g") for v in values]
+
+    def test_special_values_bools_and_ints_read_as_the_template(self, monkeypatch):
+        for column in ([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300, -2.5e-7],
+                       [True, False], [np.True_, False],
+                       [0, 1, -7, 2**53 + 1, 10**17, -(10**16), np.int64(-3), 10**20]):
+            lines, _ = self.written(monkeypatch, column)
+            assert lines == ["%.17g" % v for v in column]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_filter_tables_equal_the_row_template(self, tmp_path, fmt):
+        # the table text built as it was before the bulk writer: one "%.17g"
+        # row template over the tolist() cells
+        widths = [5.25 * i for i in range(20)]
+        overrides = {("geometry", "L"): ", ".join(map(repr, widths)),
+                     ("numerics", "curve_samples"): "2048", ("output", "format"): fmt}
+        argv = ["run", "--scenario", "fig1_filter", "--out", str(tmp_path)]
+        for (section, key), value in overrides.items():
+            argv += ["--set", f"{section}.{key}={value}"]
+        assert main(argv) == 0
+        config = validate_config({}, "fig1_filter", overrides=overrides)
+        emitter = cli._Emitter(config)
+        spec = cli._packet(config)
+        p_axis = np.linspace(spec.p_min, spec.p_max, 2048)
+        weight = momentum_weight(p_axis, spec)
+
+        def expected(header, columns, width):
+            columns = [c.tolist() for c in columns]
+            row = ",".join(["%.17g"] * len(columns))
+            text = f"{row}\n" * len(columns[0]) % tuple(chain.from_iterable(zip(*columns)))
+            comment = emitter._comment(width)
+            if fmt == "csv":
+                return f"# {comment}\n{','.join(header)}\n{text}"
+            rows = [line.split(",") for line in text.splitlines()]
+            payload = {"comment": comment, "columns": header, "rows": rows}
+            return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+        suffix = f".{fmt}"
+        exponents = set()
+        for width in widths:
+            g_t, f_t = filtered_distributions(p_axis, spec, cli._barrier(config, width))
+            name = f"filter_L{cli._width_tag(width)}{suffix}"
+            want = expected(["p", "weight", "g_t", "f_t"], [p_axis, weight, g_t, f_t], width)
+            assert (tmp_path / name).read_text() == want
+            exponents.update(re.findall(r"e-(\d\d)\b", want))
+        assert {"05", "10", "50"} <= exponents
 
     def test_peaks_table_when_every_scan_fails(self, tmp_path, monkeypatch):
         def no_peak(*args, **kwargs):

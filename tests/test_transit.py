@@ -217,6 +217,14 @@ class TestScanBehavior:
             scan_grid((0.0, 1000000.0), 1.0)
         with pytest.raises(ValueError, match=r"makes inf grid points, over the limit"):
             scan_grid((0.0, 1.0), 5e-324)
+        # three points, from the same count: refused exactly when np.arange holds fewer
+        for t_stop, step in [(1.5, 1.0), (1.5000000001, 1.0), (0.5, 0.25), (0.5, 0.3), (0.3, 0.2)]:
+            size = np.arange(0.0, t_stop + 0.5 * step, step).size
+            if size < 3:
+                with pytest.raises(ValueError, match="^time range shorter than three scan steps$"):
+                    scan_grid((0.0, t_stop), step)
+            else:
+                assert scan_grid((0.0, t_stop), step).size == size
 
     def test_reported_extrema_are_refined_together(self, monkeypatch):
         # the first Newton round holds every reported extremum; later rounds
