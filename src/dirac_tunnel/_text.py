@@ -57,15 +57,15 @@ def _cells(values) -> np.ndarray:
     return out
 
 
-def _text_rows(columns) -> str:
-    """The cells of equal-length columns as CSV text, one line per row: their
+def _text_rows(columns) -> bytes:
+    """The cells of equal-length columns as CSV bytes, one line per row: their
     :func:`_cells` blocks (a 2-D array is one already) side by side, the last
     comma of each row made a newline and the NUL padding dropped.  No columns
-    (rows transposed from none) give no text.
+    (rows transposed from none) give no bytes.
     """
     blocks = [c if np.ndim(c) == 2 else _cells(c) for c in columns]
     if not blocks:
-        return ""
+        return b""
     body = np.hstack(blocks)  # a copy, so a shared block keeps its commas
     body[:, -1] = ord("\n")
-    return body[body != 0].tobytes().decode()
+    return body[body != 0].tobytes()

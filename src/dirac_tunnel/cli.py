@@ -113,41 +113,31 @@ def parse_config_text(text: str) -> dict[tuple[str, str], tuple[str, int]]:
     return entries
 
 
-def _parse_float(section, key, value, line):
+def _parse_float(value: str) -> float:
     try:
         out = float(value)
     except ValueError:
-        raise ConfigError(f"{section}.{key}: not a number: {value!r}", line=line) from None
+        raise ValueError(f"not a number: {value!r}") from None
     if not math.isfinite(out):
-        raise ConfigError(f"{section}.{key}: must be finite, got {value!r}", line=line)
+        raise ValueError(f"must be finite, got {value!r}")
     return out + 0.0  # -0 is 0: a width of -0 must not write a second file
 
 
-def _parse_int(section, key, value, line):
+def _parse_int(value: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise ConfigError(f"{section}.{key}: not an integer: {value!r}", line=line) from None
+        raise ValueError(f"not an integer: {value!r}") from None
 
 
-def _parse_float_list(section, key, value, line):
-    items = [part.strip() for part in value.split(",")]
-    items = [part for part in items if part]
-    return tuple(_parse_float(section, key, part, line) for part in items)
-
-
-def _parse_text(section, key, value, line):
-    return value
-
-
-def _parse_choice(section, key, value, line):
-    return value.strip().lower()
+def _parse_float_list(value: str) -> tuple[float, ...]:
+    return tuple(_parse_float(part) for part in map(str.strip, value.split(",")) if part)
 
 
 # Every config key: (section, key) -> (field of the section's dataclass,
-# default, parser[, test, rule]): a key bound on its own has a test of its
-# parsed value and the rule it states.  Values are parsed and tested, and
-# errors reported with their line, in this order.
+# default, converter[, test, rule]).  A converter maps the text (stripped, save
+# --out's) or raises ValueError with its message's tail; a key bound on its own
+# has a test of its value and the rule it states.  validate_config checks in order.
 _KEYS = {
     ("physics", "v0"): ("v0", "1.0", _parse_float),
     ("physics", "mass"): ("mass", "1.0", _parse_float),
@@ -170,8 +160,8 @@ _KEYS = {
     ("numerics", "curve_samples"): ("curve_samples", "512", _parse_int,
                                     lambda n: 2 <= n <= _MAX_POINTS,
                                     f"must be from 2 to {_MAX_POINTS}"),
-    ("output", "directory"): ("directory", ".", _parse_text),
-    ("output", "format"): ("format", "csv", _parse_choice,
+    ("output", "directory"): ("directory", ".", str),
+    ("output", "format"): ("format", "csv", str.lower,
                            ("csv", "json").__contains__, "must be csv or json"),
 }
 
@@ -209,10 +199,10 @@ def validate_config(
     ``--set``) win over the file, ``out_dir`` (from ``--out``) wins over
     both for the output directory.
 
-    Each rule is checked once: a bound on one key by its ``_KEYS`` row, with
-    the key's line; the physics, every width's too, by ``BarrierConfig`` and
-    ``PacketSpec``, the time grid as :func:`scan_grid` counts it, without
-    building it, and rules that span keys here.  Those errors name the values.
+    Each rule is checked once: a key's type and bound by its ``_KEYS`` row, its
+    errors prefixed here alone with the key and line; the physics, every width's
+    too, by ``BarrierConfig`` and ``PacketSpec``, the time grid as :func:`scan_grid`
+    counts it, without building it, and rules that span keys here, naming values.
     """
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}")
@@ -233,9 +223,12 @@ def validate_config(
         merged[("output", "directory")] = (out_dir, None)
 
     fields: dict[str, dict] = {}
-    for (section, key), (field, _, parse, *rule) in _KEYS.items():
+    for (section, key), (field, _, convert, *rule) in _KEYS.items():
         value, line = merged[(section, key)]
-        parsed = parse(section, key, value, line)
+        try:
+            parsed = convert(value)
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{key}: {exc}", line=line) from None
         if rule and not rule[0](parsed):
             raise ConfigError(f"{section}.{key} {rule[1]}, got {value!r}", line=line)
         fields.setdefault(section, {})[field] = parsed
@@ -244,7 +237,7 @@ def validate_config(
 
     # physics bounds; barrier and packet constructors own the detailed rules
     try:
-        _packet(config)
+        spec = _packet(config)
         for width in geometry.widths:
             _barrier(config, width)
     except (DiracTunnelError, ValueError) as exc:
@@ -273,6 +266,8 @@ def validate_config(
                     f"geometry.D: detector {det} sits before the downstream "
                     f"barrier face at {needed}"
                 )
+            if not math.isfinite(spec.p_max * abs(det)):
+                raise ConfigError(f"geometry.D: detector {det}: p_max |D| overflows")
     try:
         _check_grid((numerics.t_start, numerics.t_stop), numerics.t_step)
     except ValueError as exc:
@@ -302,23 +297,23 @@ class _Emitter:
         return " ".join(parts)
 
     def table(self, name: str, header: list[str], columns, width=None):
-        """Write one table from the text of :func:`_text_rows`: CSV is the comment
-        line, the header and that text, and JSON ``rows`` are its lines split at
-        commas (no cell holds one), so both formats write the same cells.  With no
-        columns (rows transposed from none) only the header is written.  The
-        comment line names ``width`` when the table holds one width."""
+        """Write one table: CSV is the encoded comment line and header, then the
+        bytes of :func:`_text_rows` as they are; JSON ``rows`` are those lines
+        decoded and split at commas (no cell holds one), so both formats hold the
+        same cells.  With no columns (rows transposed from none) only the header is
+        written.  The comment line names ``width`` when the table holds one width."""
         comment = self._comment(width)
-        text = _text_rows(columns)
+        cells = _text_rows(columns)
         if self.config.output.format == "json":
-            rows = [line.split(",") for line in text.splitlines()]
+            rows = [line.split(",") for line in cells.decode().splitlines()]
             payload = {"comment": comment, "columns": header, "rows": rows}
             body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-            self.write(Path(name).with_suffix(".json").name, body)
+            self.write(Path(name).with_suffix(".json").name, body.encode())
             return
-        self.write(name, f"# {comment}\n{','.join(header)}\n{text}")
+        self.write(name, f"# {comment}\n{','.join(header)}\n".encode() + cells)
 
-    def write(self, name: str, body: str):
-        data = body.encode("utf-8")
+    def write(self, name: str, data: bytes):
+        """Write ``data`` to ``name`` as it is and list it with its sha256."""
         (self.directory / name).write_bytes(data)
         digest = hashlib.sha256(data).hexdigest()
         self.outputs.append({"file": name, "sha256": digest, "bytes": len(data)})
@@ -350,17 +345,15 @@ class _Emitter:
         }
 
 
-def _plot_stub(outputs: list[dict]) -> str:
+def _plot_stub(outputs: list[dict]) -> bytes:
+    csv_files = sorted(out["file"] for out in outputs if out["file"].endswith(".csv"))
     lines = [
         "# gnuplot stub for the CSV files in this directory",
         "set datafile separator ','",
         "set key autotitle columnhead",
+        *(f"# plot '{name}' using 1:2 with lines" for name in csv_files),
     ]
-    for out in sorted(outputs, key=lambda o: o["file"]):
-        name = out["file"]
-        if name.endswith(".csv"):
-            lines.append(f"# plot '{name}' using 1:2 with lines")
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode()
 
 
 # -- scenario bodies ---------------------------------------------------------
@@ -541,10 +534,8 @@ def run_scenario(config: ScenarioConfig) -> dict:
 def _parse_set_items(items: list[str]) -> dict[tuple[str, str], str]:
     overrides: dict[tuple[str, str], str] = {}
     for item in items:
-        if "=" not in item:
-            raise ConfigError(f"--set expects section.key=value, got {item!r}")
-        path, value = item.split("=", 1)
-        if "." not in path:
+        path, equals, value = item.partition("=")
+        if not equals or "." not in path:
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
         section, key = path.split(".", 1)
         overrides[(section.strip(), key.strip())] = value.strip()

@@ -86,8 +86,16 @@ class BarrierConfig:
                 f"rest energy mass={self.mass} (lower limit not covered); no "
                 "evanescent window exists"
             )
-        if not np.isfinite(self.v0 * (self.v0 + 2.0 * self.mass)):
+        p_max = momentum_window(self)[1]
+        if not np.isfinite(p_max):
             raise ValueError(f"v0={self.v0}, mass={self.mass}: p_max overflows a float")
+        # in an amplitude 2 rho L <= 2 m L, (p^2 - v0 E) L <= v0 m L, |p z| <= p_max (|offset| + L)
+        if not np.isfinite(max(2.0, self.v0) * self.mass * self.width):
+            raise ValueError(f"width={self.width}: max(2, v0) mass width overflows")
+        if not np.isfinite(p_max * (abs(self.offset) + self.width)):
+            raise ValueError(
+                f"offset={self.offset}, width={self.width}: p_max (|offset| + width) overflows"
+            )
 
 
 def total_energy(p, mass: float = 1.0):

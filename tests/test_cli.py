@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -185,6 +186,26 @@ class TestValidateConfig:
         assert excinfo.value.line == 2
         assert "not a number" in str(excinfo.value)
 
+    @pytest.mark.parametrize("text, overrides, message", [
+        ("[physics]\nv0 = abc\n", None, "line 2: physics.v0: not a number: 'abc'"),
+        ("[physics]\n\nmass = inf\n", None, "line 3: physics.mass: must be finite, got 'inf'"),
+        ("[numerics]\ntolerance = 1e400\n", None,
+         "line 2: numerics.tolerance: must be finite, got '1e400'"),
+        ("[numerics]\nnodes = 1.5\n", None, "line 2: numerics.nodes: not an integer: '1.5'"),
+        ("[geometry]\nL = 1, x\n", None, "line 2: geometry.L: not a number: 'x'"),
+        ("[geometry]\nD = 40, -inf\n", None, "line 2: geometry.D: must be finite, got '-inf'"),
+        ("", {("physics", "v0"): "abc"}, "physics.v0: not a number: 'abc'"),
+        ("", {("numerics", "nodes"): "1.5"}, "numerics.nodes: not an integer: '1.5'"),
+        ("", {("geometry", "L"): "1, x"}, "geometry.L: not a number: 'x'"),
+        ("[output]\nformat = xml\n", None, "line 2: output.format must be csv or json, got 'xml'"),
+        ("", {("output", "format"): "XML"}, "output.format must be csv or json, got 'XML'"),
+    ])
+    def test_conversion_errors_read_in_full(self, text, overrides, message):
+        raw = parse_config_text(text)
+        with pytest.raises(ConfigError) as excinfo:
+            validate_config(raw, "custom", overrides=overrides)
+        assert str(excinfo.value) == message
+
     @pytest.mark.parametrize("text", [
         "[geometry]\nL = ,\n",
         "[numerics]\nnodes = 100\n",
@@ -294,6 +315,32 @@ class TestMainErrors:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert field in result.stderr
+
+    @pytest.mark.parametrize("scenario, overrides, code, named", [
+        ("fig3_times", ["geometry.L=9e307"], 2, "width=9e+307"),
+        ("fig3_times", ["physics.v0=10", "physics.p0=10.5", "geometry.L=2e307"], 2,
+         "width=2e+307: max(2, v0)"),
+        ("fig3_times", ["geometry.offset=1e308", "geometry.L=8e307"], 2, "offset=1e+308"),
+        ("custom", ["geometry.offset=1e308", "geometry.L=8e307", "geometry.D=1e308"], 2,
+         "offset=1e+308"),
+        ("fig4_transit", ["physics.mass=10", "physics.v0=10", "physics.p0=10",
+                          "geometry.D=1.7e308"], 2, "detector 1.7e+308"),
+        ("fig4_transit", ["geometry.D=1.7e308"], 2, "detector 1.7e+308"),
+        # 2 mass width = 1.6e308 is finite: the run starts and finds no peak
+        ("fig3_times", ["geometry.L=8e307"], 3, "times L=7.9999999999999999e+307"),
+    ], ids=["L", "v0-L", "offset-L", "offset-L-D", "v0_mass-D", "D", "L-under"])
+    def test_positions_exit_two_only_when_they_overflow(
+        self, tmp_path, scenario, overrides, code, named
+    ):
+        argv = [sys.executable, "-W", "error", "-m", "dirac_tunnel", "run",
+                "--scenario", scenario, "--out", str(tmp_path)]
+        for override in overrides:
+            argv += ["--set", override]
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        result = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=str(REPO))
+        assert result.returncode == code
+        assert "Traceback" not in result.stderr
+        assert named in result.stderr
 
     def test_negative_width_is_refused_by_its_barrier(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
@@ -688,6 +735,18 @@ class TestTableCells:
             payload = json.loads((tmp_path / "empty.json").read_text())
             assert payload == {"comment": comment, "columns": ["L", "kind"], "rows": []}
 
+    def test_csv_file_is_the_row_bytes_as_built(self, tmp_path):
+        columns = [np.array([1e-5, 0.25, -3.0]), ["central_max", "minimum", "secondary_max"]]
+        body = cli._text_rows(columns)
+        assert isinstance(body, bytes)
+        emitter = self.emitter(tmp_path)
+        emitter.table("rows.csv", ["t", "kind"], columns, 10.0)
+        data = (tmp_path / "rows.csv").read_bytes()
+        assert data == b"# " + emitter._comment(10.0).encode() + b"\nt,kind\n" + body
+        [entry] = emitter.manifest()["outputs"]
+        assert entry == {"file": "rows.csv", "sha256": hashlib.sha256(data).hexdigest(),
+                         "bytes": len(data)}
+
     def test_columns_of_unequal_length_are_refused(self, tmp_path):
         with pytest.raises(ValueError):
             self.emitter(tmp_path).table("bad.csv", ["a", "b"], [np.zeros(2), np.zeros(3)])
@@ -703,7 +762,7 @@ class TestTableCells:
             return format(value, spec)
 
         monkeypatch.setattr(_text, "format", spy, raising=False)
-        lines = cli._text_rows([values]).splitlines()
+        lines = cli._text_rows([values]).decode().splitlines()
         monkeypatch.delattr(_text, "format")
         return lines, np.array(sent, dtype=float)
 

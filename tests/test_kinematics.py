@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,12 +8,15 @@ from dirac_tunnel import (
     BarrierConfig,
     EnergyZone,
     EnergyZoneError,
+    PacketSpec,
     UnsupportedRegimeError,
     classify_zone,
     evanescent_rho,
     group_velocity,
     momentum_window,
     total_energy,
+    transmission_amplitude,
+    transmitted_density,
 )
 
 CANON = BarrierConfig(v0=1.0, width=10.0)
@@ -53,6 +57,35 @@ class TestBarrierConfig:
     def test_largest_window_edge_is_finite(self):
         cfg = BarrierConfig(v0=1e150, width=1.0, mass=1e150)
         assert momentum_window(cfg)[1] == pytest.approx(math.sqrt(3.0) * 1e150, rel=1e-15)
+
+    @pytest.mark.parametrize("params, named", [
+        ({"width": 9e307}, "width=9e+307: max(2, v0)"),  # 2 mass width
+        ({"v0": 10.0, "width": 2e307}, "width=2e+307: max(2, v0)"),  # v0 mass width
+        ({"mass": 0.1, "width": 1.7e308}, "width=1.7e+308: p_max"),  # p_max width
+        # the downstream face offset + width, and p_max |offset| alone
+        ({"width": 8e307, "offset": 1e308}, "offset=1e+308, width=8e+307: p_max"),
+        ({"width": 0.0, "offset": -1.7e308}, "offset=-1.7e+308, width=0.0: p_max"),
+    ])
+    def test_rejects_positions_that_overflow(self, params, named):
+        with pytest.raises(ValueError, match=re.escape(named) + ".* overflows$"):
+            BarrierConfig(**{"v0": 1.0, **params})
+
+    @pytest.mark.parametrize("params", [
+        {"v0": 1.0, "mass": 1.0, "width": 8e307},
+        {"v0": 10.0, "mass": 10.0, "width": 1.7e306},
+        {"v0": 1.0, "mass": 0.1, "width": 1.6e308},
+        {"v0": 1.0, "mass": 1.0, "width": 1e307, "offset": 8e307},
+        {"v0": 1.0, "mass": 1.0, "width": 0.0, "offset": -1e308},
+    ])
+    def test_widest_positions_compute_without_overflow(self, params):
+        # just inside every bound: the amplitude over the window, both edges
+        # included, and the density at the downstream face raise no warning
+        cfg = BarrierConfig(**params)
+        p = np.linspace(*momentum_window(cfg), 65)
+        assert np.all(np.isfinite(transmission_amplitude(p, cfg)))
+        spec = PacketSpec.for_barrier(cfg, p0=p[32], d=10.0)
+        z = cfg.offset + cfg.width
+        assert np.all(np.isfinite(transmitted_density(z, np.array([-1.0, 0.0, 1.0]), spec, cfg)))
 
 
 class TestWindow:
