@@ -31,8 +31,8 @@ __all__ = [
     "evanescent_rho",
 ]
 
-# Relative slack for window-edge roundoff: at p = p_min or p = p_max the
-# radicand mass^2 - (E - v0)^2 lands on zero only in exact arithmetic.
+# Relative slack for window-edge roundoff: the radicand mass^2 - (E - v0)^2 lands on
+# zero at p_min or p_max only in exact arithmetic, and rounds by about eps mass (v0 + mass).
 _EDGE_RTOL = 1e-12
 
 
@@ -158,7 +158,7 @@ def evanescent_rho(p, cfg: BarrierConfig):
     energy = total_energy(p_arr, cfg.mass)
     radicand = cfg.mass**2 - (energy - cfg.v0) ** 2
 
-    slack = _EDGE_RTOL * cfg.mass**2
+    slack = _EDGE_RTOL * cfg.mass * (cfg.v0 + cfg.mass)
     below = energy < cfg.v0 - _EDGE_RTOL * cfg.v0
     outside = (radicand < -slack) | below
     if np.any(outside):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import BarrierConfig
-from .wavepacket import PacketIntegrator, PacketSpec, _series_density, converged_integrator
+from .wavepacket import PacketIntegrator, PacketSpec, converged_integrator
 
 __all__ = [
     "PeakKind",
@@ -62,42 +62,6 @@ class TransitReport:
     t_dl: float
     v_dl: float
     superluminal: bool
-
-
-def _extremum(eng: PacketIntegrator, z: float, ts: np.ndarray, step: float):
-    """(times, densities) of the extrema near grid times ``ts``, by Newton on d|psi|^2/dt.
-
-    Each round sums, for the extrema still moving, the Taylor series of
-    their amplitudes about their grid times (:meth:`PacketIntegrator._taylor`,
-    built together at ``z``, a unit phase per extremum).  An iterate beyond
-    the series' reach (``eng._reach``, set with the rule's phase origin)
-    re-centres its series on itself.  Iterates are clamped to one ``step``
-    around their grid times; an extremum stops at its first step no smaller
-    than the one before (or zero), so steps strictly decrease and no
-    tolerance is needed.  A root of the derivative is a maximum or a minimum alike.
-    """
-    t = ts.astype(float)
-    centre = t.copy()
-    series = eng._taylor(z, centre)
-    density, first, second = _series_density(series, t - centre)
-    last = np.full(t.size, np.inf)
-    moving = np.arange(t.size)
-    while True:
-        newton = np.divide(first, second, out=np.zeros_like(first), where=second != 0.0)
-        t_next = np.clip(t[moving] - newton, ts[moving] - step, ts[moving] + step)
-        move = np.abs(t_next - t[moving])
-        shrinks = (0.0 < move) & (move < last[moving])
-        moving = moving[shrinks]
-        if moving.size == 0:
-            return t, density
-        t[moving], last[moving] = t_next[shrinks], move[shrinks]
-        far = moving[np.abs(t[moving] - centre[moving]) > eng._reach]
-        if far.size:
-            centre[far] = t[far]
-            series[:, :, far] = eng._taylor(z, centre[far])
-        density[moving], first, second = _series_density(
-            series[:, :, moving], t[moving] - centre[moving]
-        )
 
 
 _MAX_POINTS = 1_000_000  # of any axis (time grid, filter curve, sweep), counted before it is built
@@ -150,13 +114,11 @@ def scan_peaks(
     maxima below ``min_density_ratio`` (in (0, 1], else ``ValueError``)
     times the largest grid maximum, the central peak, are dropped as
     quadrature noise, and one grid minimum is taken between each adjacent
-    pair of kept maxima.  These extrema are refined together by Newton's
-    method on the density's time derivative from the same node table, each
-    within one ``step`` of its grid point, on a Taylor series in time about
-    it: a unit phase per node and extremum, and one more for an iterate
-    that leaves the series' reach (never at the default step).  A range too
-    short for that grid, or a grid of more than 1,000,000 points, raises
-    ``ValueError``.
+    pair of kept maxima.  These extrema are refined together on the same
+    node table, each within one ``step`` of its grid point
+    (:meth:`~dirac_tunnel.wavepacket.PacketIntegrator._refine`).  A range
+    too short for that grid, or a grid of more than 1,000,000 points,
+    raises ``ValueError``.
 
     The grid is evaluated once, on the graded rule of ``nodes`` nodes.
     ``tol`` switches on the quadrature convergence gate
@@ -201,7 +163,7 @@ def scan_peaks(
     # kept maxima at the even places of idx, a grid minimum between each pair
     lows = [a + 1 + int(np.argmin(dens[a + 1 : b])) for a, b in zip(kept[:-1], kept[1:])]
     idx = np.insert(kept, np.arange(1, kept.size), lows)
-    times, values = _extremum(eng, z_eval, ts[idx], step)
+    times, values = eng._refine(z_eval, ts[idx], step)
 
     records = []
     for k, i in enumerate(idx):

@@ -45,10 +45,10 @@ Every sum measures its phases from one origin per rule, the midpoints
 ``p_c`` and ``E_c`` of its momenta and energies, as ``(p - p_c) z - (E -
 E_c) t``, whose rounding stays small: ``amplitudes`` lack the phase ``exp(i(p_c
 z - E_c t))`` common to both components, which the densities drop.
-Near a single time t0 the amplitudes are a short Taylor series in t - t0
-(``PacketIntegrator._taylor``), a unit phase per node in all, whose reach
-the origin sets too; the peak refinement and ``density_dt`` read densities
-and time derivatives from it.
+Near a single time t0 the amplitudes are a Taylor series in (t - t0) / u,
+u a power of two the origin sets too (``PacketIntegrator._taylor``), a unit
+phase per node in all; the peak refinement (``_refine``) and ``density_dt``
+read densities and time derivatives from it.
 """
 
 from __future__ import annotations
@@ -104,11 +104,13 @@ class PacketSpec:
     p_max: float
 
     def __post_init__(self):
-        if not (self.d > 0.0 and math.isfinite(self.d * self.d)):
-            raise ValueError(f"packet width d must be positive, d^2 finite, got {self.d}")
         if not 0.0 <= self.p_min < self.p_max:
+            raise ValueError(f"invalid momentum window [{self.p_min}, {self.p_max}]")
+        # the weight's exponent (p - p0)^2 d^2, multiplied: float ** raises on overflow
+        span = self.p_max - self.p_min
+        if not (self.d > 0.0 and math.isfinite(span * span * (self.d * self.d))):
             raise ValueError(
-                f"invalid momentum window [{self.p_min}, {self.p_max}]"
+                f"packet width d must be positive, (p_max - p_min)^2 d^2 finite, got {self.d}"
             )
         if not self.p_min <= self.p0 <= self.p_max:
             raise ValueError(
@@ -242,23 +244,6 @@ def _phase_ladder(first, steps, k):
     return out
 
 
-def _series_density(series, delta):
-    """|psi|^2 and its first two time derivatives at offsets ``delta`` from the times of ``series``.
-
-    ``series`` is :meth:`PacketIntegrator._taylor`'s.  With G, F its sums
-    ``sum_k M_k delta^k``, |psi|^2 = |G|^2 + |F|^2, d|psi|^2/dt = 2 Re(G* G'
-    + F* F') and d^2|psi|^2/dt^2 = 2 Re(G* G'' + F* F'') + 2 (|G'|^2 + |F'|^2).
-    """
-    k = np.arange(series.shape[0])[:, None, None]
-    powers = np.asarray(delta, dtype=float) ** k
-    value = (series * powers).sum(axis=0)
-    first = (series[1:] * (k[1:] * powers[:-1])).sum(axis=0)
-    second = (series[2:] * (k[2:] * (k[2:] - 1) * powers[:-2])).sum(axis=0)
-    slope = (value.conj() * first).real.sum(axis=0)
-    curve = (value.conj() * second).real.sum(axis=0) + _modulus2(*first)
-    return _modulus2(*value), 2.0 * slope, 2.0 * curve
-
-
 def _modulus2(g, f):
     """Spinor density |g|^2 + |f|^2 of the two component amplitudes."""
     return (g * np.conj(g) + f * np.conj(f)).real
@@ -301,10 +286,11 @@ class PacketIntegrator:
         self._scale = 2.0 * float(total_energy(spec.p0, mass))
         # the two coefficient rows c0 (large component) and c2 (small)
         self._coef = np.stack((coef, coef * (p / (self.energy + mass))))
-        # the rates from the phase origin (p_c, E_c) of every sum, the series' reach
+        # the rates from the phase origin (p_c, E_c) of every sum; the series' unit of
+        # time, the power of two at or below its reach
         self._wave = p - 0.5 * (p.min() + p.max())
         self._rate = self.energy - 0.5 * (self.energy.min() + self.energy.max())
-        self._reach = _TAYLOR_REACH / np.max(np.abs(self._rate))
+        self._unit = math.ldexp(1.0, math.frexp(_TAYLOR_REACH / np.max(np.abs(self._rate)))[1] - 1)
 
     # -- core evaluation ---------------------------------------------------
 
@@ -362,29 +348,80 @@ class PacketIntegrator:
     def density_dt(self, z: float, ts):
         """|psi|^2 and its first two time derivatives at z, as arrays over times ts.
 
-        Read at offset 0 from the three-term Taylor series about each time
-        (:meth:`_taylor`, :func:`_series_density`).
+        Read at offset 0 from the Taylor series about each time (:meth:`_taylor`).
         """
-        return _series_density(self._taylor(z, ts, 3), 0.0)
+        return self._series_density(self._taylor(z, ts), 0.0)
 
-    def _taylor(self, z: float, t0s, terms: int = _TAYLOR_TERMS):
-        """Taylor coefficients in ``delta = t - t0`` of the amplitudes at z about each of ``t0s``.
+    def _taylor(self, z: float, t0s):
+        """Taylor coefficients in ``s = (t - t0) / _unit`` of the amplitudes at z about times ``t0s``.
 
-        Term k of component c about the K times ``t0s`` (shape ``(terms, 2,
-        K)``) is ``M_k = sum_n c_n exp(i(_wave_n z - _rate_n t0)) (-i
-        _rate_n)^k / k!``, phases from the rule's origin, so the amplitudes at
-        ``t0 + delta`` are ``exp(i(p_c z - E_c (t0 + delta))) sum_k M_k
-        delta^k``; that common phase drops out of |psi|^2 and its time
-        derivatives.  All 2 x ``terms`` rows are summed in one
-        :meth:`_sum_over_nodes`, a unit phase per time.  With the default
-        terms the sums are exact to below eps x sum |c| while ``|delta| <= _reach``.
+        Term k of component c about the K times ``t0s`` (shape ``(16, 2, K)``)
+        is ``M_k = sum_n c_n exp(i(_wave_n z - _rate_n t0)) (-i _rate_n
+        _unit)^k / k!``, phases from the rule's origin, so the amplitudes at
+        ``t0 + s _unit`` are ``exp(i(p_c z - E_c (t0 + s _unit))) sum_k M_k
+        s^k``; that common phase drops out of |psi|^2 and its derivatives.  All
+        32 rows are summed in one :meth:`_sum_over_nodes`, a unit phase per
+        time.  As ``|_rate_n _unit| <= 1/2``, no term overflows at any mass,
+        and the sums are exact to below eps x sum |c| while ``|s| <= 1``.
         """
-        rows = np.empty((terms,) + self._coef.shape, dtype=complex)
+        rows = np.empty((_TAYLOR_TERMS,) + self._coef.shape, dtype=complex)
         rows[0] = self._coef
-        for k in range(1, terms):
-            rows[k] = rows[k - 1] * (-1j / k * self._rate)
-        sums = self._sum_over_nodes(rows.reshape(2 * terms, -1), -self._rate, t0s, self._wave * z)
-        return self._scale * sums.reshape(terms, 2, sums.shape[1])
+        rate = self._rate * self._unit
+        for k in range(1, _TAYLOR_TERMS):
+            rows[k] = rows[k - 1] * (-1j / k * rate)
+        sums = self._sum_over_nodes(rows.reshape(-1, self.nodes), -self._rate, t0s, self._wave * z)
+        return self._scale * sums.reshape(_TAYLOR_TERMS, 2, sums.shape[1])
+
+    def _series_density(self, series, delta):
+        """|psi|^2 and its first two time derivatives at offsets ``delta`` from the series' times.
+
+        ``series`` is :meth:`_taylor`'s.  With G, F its sums ``sum_k M_k s^k``
+        at ``s = delta / _unit``, |psi|^2 = |G|^2 + |F|^2, d|psi|^2/ds = 2 Re(G*
+        G' + F* F') and d^2|psi|^2/ds^2 = 2 Re(G* G'' + F* F'') + 2 (|G'|^2 +
+        |F'|^2), which over ``_unit`` and ``_unit^2`` are the time derivatives.
+        """
+        k = np.arange(_TAYLOR_TERMS)[:, None, None]
+        powers = (np.asarray(delta, dtype=float) / self._unit) ** k
+        value = (series * powers).sum(axis=0)
+        first = (series[1:] * (k[1:] * powers[:-1])).sum(axis=0)
+        second = (series[2:] * (k[2:] * (k[2:] - 1) * powers[:-2])).sum(axis=0)
+        slope = (value.conj() * first).real.sum(axis=0)
+        curve = (value.conj() * second).real.sum(axis=0) + _modulus2(*first)
+        return _modulus2(*value), 2.0 * slope / self._unit, 2.0 * curve / self._unit**2
+
+    def _refine(self, z: float, ts: np.ndarray, step: float):
+        """(times, densities) of the extrema near grid times ``ts``, by Newton on d|psi|^2/dt.
+
+        Each round reads, for the extrema still moving, the Taylor series of
+        their amplitudes about their grid times (:meth:`_taylor`, built together
+        at ``z``, a unit phase per extremum); an iterate more than ``_unit``
+        away re-centres its series on itself.  Iterates are clamped to one
+        ``step`` around their grid times; an extremum stops at its first step
+        no smaller than the one before (or zero), so steps strictly decrease
+        and no tolerance is needed.  A maximum and a minimum are roots alike.
+        """
+        t = ts.astype(float)
+        centre = t.copy()
+        series = self._taylor(z, centre)
+        density, first, second = self._series_density(series, t - centre)
+        last = np.full(t.size, np.inf)
+        moving = np.arange(t.size)
+        while True:
+            newton = np.divide(first, second, out=np.zeros_like(first), where=second != 0.0)
+            t_next = np.clip(t[moving] - newton, ts[moving] - step, ts[moving] + step)
+            move = np.abs(t_next - t[moving])
+            shrinks = (0.0 < move) & (move < last[moving])
+            moving = moving[shrinks]
+            if moving.size == 0:
+                return t, density
+            t[moving], last[moving] = t_next[shrinks], move[shrinks]
+            far = moving[np.abs(t[moving] - centre[moving]) > self._unit]
+            if far.size:
+                centre[far] = t[far]
+                series[:, :, far] = self._taylor(z, centre[far])
+            density[moving], first, second = self._series_density(
+                series[:, :, moving], t[moving] - centre[moving]
+            )
 
     def density_z(self, zs, t: float):
         """|psi|^2 on a position grid at one time."""

@@ -302,9 +302,12 @@ class TestMainErrors:
         ("custom", ["physics.d=1e155"], "packet width d"),
         ("fig1_filter", ["physics.v0=1e155", "physics.mass=1e155"], "v0=1e+155"),
         ("fig3_times", ["physics.v0=1e155", "physics.mass=1e155"], "v0=1e+155"),
-    ], ids=["custom-d", "fig1_filter-v0_mass", "fig3_times-v0_mass"])
+        ("fig1_filter", ["physics.v0=2.47e100", "physics.mass=2.47e100", "physics.p0=8e99",
+                         "physics.d=7.5e79", "geometry.L=0,1"],
+         "(p_max - p_min)^2 d^2 finite, got 7.5e+79"),
+    ], ids=["custom-d", "fig1_filter-v0_mass", "fig3_times-v0_mass", "fig1_filter-d_window"])
     def test_physics_that_overflows_exits_two(self, tmp_path, scenario, overrides, field):
-        # d^2 or v0 (v0 + 2 mass) beyond the float range: invalid configuration,
+        # d^2, (p_max - p_min)^2 d^2 or v0 (v0 + 2 mass) beyond the float range: invalid configuration,
         # not a crash or a numeric failure
         argv = [sys.executable, "-W", "error", "-m", "dirac_tunnel", "run",
                 "--scenario", scenario, "--out", str(tmp_path)]
@@ -968,6 +971,21 @@ class TestFailurePath:
             assert (tmp_path / name).is_file()
 
 
+    def test_window_edge_far_above_the_mass(self, tmp_path):
+        # v0 four orders above the mass: both filter curves reach p_max, and only
+        # the statistics fail, their weight underflowing
+        argv = ["run", "--scenario", "fig1_filter", "--out", str(tmp_path)]
+        for override in ["physics.v0=6.435517211357928e+43", "physics.mass=2.4388651849676553e+39",
+                         "physics.p0=6.435570433907925e+43", "geometry.L=0,1"]:
+            argv += ["--set", override]
+        assert main(argv) == 3
+        failures = read_manifest(tmp_path)["failures"]
+        assert [f["item"] for f in failures] == ["filter_stats L=0", "filter_stats L=1"]
+        assert all(f["error"].startswith("DegenerateWeightError: ") for f in failures)
+        for name in ("filter_L0.csv", "filter_L1.csv"):
+            assert len(read_csv(tmp_path / name)[2]) == 512
+
+
 class TestTransitStats:
     def test_filter_stats_once_per_width(self, tmp_path, monkeypatch):
         widths = []
@@ -1009,3 +1027,85 @@ class TestSubprocessEntry:
         assert (tmp_path / "filter_L0.csv").is_file()
         assert (tmp_path / "filter_L5.csv").is_file()
         assert (tmp_path / "manifest.json").is_file()
+
+
+# Two or three widths per scenario keep the runs short; custom keeps its one
+COVARIANCE_WIDTHS = {
+    "fig1_filter": "0, 10", "fig2_peaks": "10, 15", "fig3_times": "4, 8",
+    "fig4_transit": "0, 10", "table1": "10, 15", "custom": "10",
+}
+# the keys in units of mass (scaled by 2^e) and of length or time (by 2^-e)
+MASSES = ("physics.mass", "physics.v0", "physics.p0")
+LENGTHS = ("physics.d", "geometry.L", "geometry.D", "geometry.offset",
+           "numerics.t_start", "numerics.t_stop", "numerics.t_step")
+
+
+def _scaled_run(directory: Path, scenario: str, e: int):
+    """(exit code, manifest, tables) of ``scenario`` in units where the mass is 2^e."""
+    overrides = {("geometry", "L"): cli._parse_float_list(COVARIANCE_WIDTHS[scenario])}
+    config = validate_config({}, scenario)
+    argv = ["run", "--scenario", scenario, "--out", str(directory)]
+    for keys, sign in ((MASSES, 1), (LENGTHS, -1)):
+        for key in keys:
+            section, name = key.split(".")
+            field = cli._KEYS[(section, name)][0]
+            value = overrides.get((section, name), getattr(getattr(config, section), field))
+            values = value if isinstance(value, tuple) else (value,)
+            if values:
+                text = ", ".join(repr(math.ldexp(v, sign * e)) for v in values)
+                argv += ["--set", f"{key}={text}"]
+    code = main(argv)
+    manifest = read_manifest(directory)
+    tables = {}
+    for out in manifest["outputs"]:
+        if out["file"].endswith(".csv"):
+            comment, header, rows = read_csv(directory / out["file"])
+            # a table per width is keyed by its width at unit mass, not by its file name
+            width = re.search(r" L=(\S+)", comment)
+            key = (out["file"].split("_L")[0], width and math.ldexp(float(width[1]), e))
+            tables[key] = header, rows
+    return code, manifest, tables
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _unscaled(item: str, e: int) -> str:
+    """A failure item with its widths and detectors read back at unit mass."""
+    return re.sub(r"=(\S+)", lambda m: "=%.17g" % math.ldexp(float(m.group(1)), e), item)
+
+
+class TestUnitCovariance:
+    """Natural units: the mass 2^e, with every mass scaled by 2^e and every
+    length and time by 2^-e, is the unit-mass run in other units, so every
+    number written is the unit-mass number times one power of two per column."""
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_scaled_runs_are_exactly_the_unit_run(self, tmp_path, capsys, scenario):
+        code, manifest, tables = _scaled_run(tmp_path / "unit", scenario, 0)
+        assert tables
+        for e in (70, -70):
+            scaled_code, scaled_manifest, scaled_tables = _scaled_run(tmp_path / f"{e}", scenario, e)
+            assert scaled_code == code
+            assert [_unscaled(f["item"], e) for f in scaled_manifest["failures"]] == [
+                f["item"] for f in manifest["failures"]
+            ]
+            assert scaled_tables.keys() == tables.keys()
+            for key, (header, rows) in tables.items():
+                scaled_header, scaled_rows = scaled_tables[key]
+                assert scaled_header == header
+                assert len(scaled_rows) == len(rows)
+                for column, scaled_column in zip(zip(*rows), zip(*scaled_rows)):
+                    # text cells (peak kinds, flags) alike, numbers one power of two apart
+                    assert [a for a in column if not _is_number(a)] == [
+                        b for b in scaled_column if not _is_number(b)
+                    ], (e, key, header)
+                    pairs = [(float(a), float(b))
+                             for a, b in zip(column, scaled_column) if _is_number(a)]
+                    power = next((math.frexp(b)[1] - math.frexp(a)[1] for a, b in pairs if a), 0)
+                    assert all(b == math.ldexp(a, power) for a, b in pairs), (e, key, header)

@@ -160,6 +160,14 @@ class TestEvanescentRho:
         lo_t, _ = momentum_window(tall)
         assert evanescent_rho(lo_t, tall) == pytest.approx(tall.mass, rel=1e-12)
 
+    def test_window_edges_far_above_the_mass(self):
+        # v0 four orders above the mass: the radicand at p_max rounds by about eps m v0
+        tall = BarrierConfig(v0=6.435517211357928e43, width=1.0, mass=2.4388651849676553e39)
+        rho = evanescent_rho(np.linspace(*momentum_window(tall), 5), tall)
+        assert rho[0] == pytest.approx(tall.mass, rel=1e-12)
+        assert rho[-1] == 0.0
+        assert np.all(np.diff(rho) < 0.0)
+
     def test_zone_errors_name_the_zone(self):
         with pytest.raises(EnergyZoneError) as excinfo:
             evanescent_rho(2.0, CANON)  # E ~ 2.24 > v0 + m

@@ -55,6 +55,7 @@ REMOVED = [
     "_composite_rule",
     "_uniform_edges",
     "DensityGrid",
+    "_extremum",
 ]
 
 
@@ -121,6 +122,8 @@ def test_removed_knobs_are_gone():
         assert "refine_tol" not in inspect.signature(fn).parameters
     assert "mass" not in inspect.signature(PacketIntegrator.__init__).parameters
     assert "max_nodes" not in inspect.signature(converged_integrator).parameters
+    # the Taylor series in time has one length, for refinement and density_dt alike
+    assert "terms" not in inspect.signature(PacketIntegrator._taylor).parameters
     # the mass is recovered from the coefficients, a2 = 1 / (2 mass)
     for fn in (peak_functional, maximize_peak_functional):
         assert "mass" not in inspect.signature(fn).parameters

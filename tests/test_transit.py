@@ -48,13 +48,13 @@ SECONDARIES_10 = [
 def _spy_series(monkeypatch):
     """Record the number of extrema in each Newton round's series evaluation."""
     sizes = []
-    series_density = transit._series_density
+    series_density = PacketIntegrator._series_density
 
-    def spy(series, delta):
+    def spy(integrator, series, delta):
         sizes.append(np.size(delta))
-        return series_density(series, delta)
+        return series_density(integrator, series, delta)
 
-    monkeypatch.setattr(transit, "_series_density", spy)
+    monkeypatch.setattr(PacketIntegrator, "_series_density", spy)
     return sizes
 
 
@@ -315,18 +315,19 @@ def long_double_root(eng, z, t):
 class TestRefinementLongDouble:
     """Refined extrema against Newton in np.longdouble on the same node table.
 
-    The series' reach is 1 / (E_max - E_min) = 1 here: a scan at the default
-    step never re-centres its series, and the fringe scan at step 4 must.
+    The series' unit of time is 1 here, the power of two at or below its
+    reach 1 / (E_max - E_min): a scan at the default step never re-centres
+    its series, and the fringe scan at step 4 must.
     """
 
     @pytest.fixture
     def refined(self, monkeypatch):
         """(relative time errors, relative density errors, series built) of every refinement."""
         found = {"times": [], "densities": [], "series": 0}
-        extremum, taylor = transit._extremum, PacketIntegrator._taylor
+        refine, taylor = PacketIntegrator._refine, PacketIntegrator._taylor
 
-        def spy_extremum(eng, z, ts, step):
-            times, values = extremum(eng, z, ts, step)
+        def spy_refine(eng, z, ts, step):
+            times, values = refine(eng, z, ts, step)
             for t, value in zip(times, values):
                 root, density = long_double_root(eng, z, t)
                 found["times"].append(float(abs(t - root) / abs(root)))
@@ -337,7 +338,7 @@ class TestRefinementLongDouble:
             found["series"] += 1
             return taylor(*args, **kwargs)
 
-        monkeypatch.setattr(transit, "_extremum", spy_extremum)
+        monkeypatch.setattr(PacketIntegrator, "_refine", spy_refine)
         monkeypatch.setattr(PacketIntegrator, "_taylor", spy_taylor)
         return found
 

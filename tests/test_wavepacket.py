@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dirac_tunnel import transit, wavepacket
+from dirac_tunnel import wavepacket
 from dirac_tunnel import (
     BarrierConfig,
     ConvergenceError,
@@ -54,6 +54,15 @@ class TestPacketSpec:
     def test_rejects_width_whose_square_overflows(self):
         with pytest.raises(ValueError, match=r"d\^2 finite, got 1e\+155"):
             PacketSpec(p0=0.5, d=1e155, p_min=0.0, p_max=1.0)
+
+    def test_window_is_checked_before_the_width(self):
+        with pytest.raises(ValueError, match="invalid momentum window"):
+            PacketSpec(p0=0.5, d=1e155, p_min=1.0, p_max=1.0)
+
+    def test_rejects_width_whose_weight_exponent_overflows(self):
+        # d^2 is finite, but (p - p0)^2 d^2 overflows across the window
+        with pytest.raises(ValueError, match=r"\(p_max - p_min\)\^2 d\^2 finite, got 7\.5e\+79"):
+            PacketSpec(p0=8e99, d=7.5e79, p_min=0.0, p_max=1e101)
 
     def test_tiny_width_is_valid(self):
         # d^2 underflows to 0: a flat weight over the window
@@ -417,7 +426,7 @@ class TestUnitPhaseBudget:
     def test_single_extremum_refinement(self, calls):
         eng = PacketIntegrator(SPEC, barrier(40.0))
         calls.clear()
-        times, _ = transit._extremum(eng, 40.0, np.array([9.25]), 0.25)
+        times, _ = eng._refine(40.0, np.array([9.25]), 0.25)
         assert len(calls) == 1
         assert times[0] == pytest.approx(9.271, abs=1e-3)
 
