@@ -287,10 +287,11 @@ class PacketIntegrator:
         # the two coefficient rows c0 (large component) and c2 (small)
         self._coef = np.stack((coef, coef * (p / (self.energy + mass))))
         # the rates from the phase origin (p_c, E_c) of every sum; the series' unit of
-        # time, the power of two at or below its reach
+        # time, the power of two at or below its reach (1 with no rate: all energies alike)
         self._wave = p - 0.5 * (p.min() + p.max())
         self._rate = self.energy - 0.5 * (self.energy.min() + self.energy.max())
-        self._unit = math.ldexp(1.0, math.frexp(_TAYLOR_REACH / np.max(np.abs(self._rate)))[1] - 1)
+        top = np.max(np.abs(self._rate))
+        self._unit = math.ldexp(1.0, math.frexp(_TAYLOR_REACH / top)[1] - 1) if top else 1.0
 
     # -- core evaluation ---------------------------------------------------
 

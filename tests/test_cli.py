@@ -772,7 +772,7 @@ class TestTableCells:
     @staticmethod
     def in_bulk_range(values):
         magnitude = np.abs(values)
-        return (1e-99 <= magnitude) & (magnitude < 1e-4)
+        return (1e-99 <= magnitude) & (magnitude < 1.0)
 
     def test_random_doubles_read_as_format(self, monkeypatch):
         rng = np.random.default_rng(25)
@@ -813,13 +813,68 @@ class TestTableCells:
         assert lines == [format(v, ".17g") for v in values.tolist()]
         assert {"0.0001", "9.9999999999999991e-05", "1e-99", "-1e-100"} <= set(lines)
 
+    def test_fixed_form_boundaries(self, monkeypatch):
+        # %.17g prints 1e-4 <= |v| < 1 as 0.000ddd...: the bulk path lays these
+        # out apart from d.ddd...e-XX, so every edge of that form and the
+        # doubles either side of it must read as format
+        tens = np.array([1e-4, 1e-3, 0.01, 0.1])
+        values = np.array([*tens, 0.5, np.nextafter(1.0, 0.0)])
+        values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, 1.0)])
+        values = np.concatenate([values, -values])
+        lines, sent = self.written(monkeypatch, values)
+        assert lines == [format(v, ".17g") for v in values.tolist()]
+        assert {"0.0001", "-0.001", "0.5", "0.99999999999999989", "-1"} <= set(lines)
+        # only 1 and the doubles just below a power of ten, whose log10 rounds
+        # up to it, reach format
+        assert set(np.abs(sent).tolist()) <= {*np.nextafter(tens, 0.0).tolist(), 1.0}
+
+    def test_exact_powers_of_two_drop_their_trailing_zeros(self, monkeypatch):
+        # 2**-j for j <= 24 has at most 17 significant digits, so the bulk row
+        # ends in zeros that must go, in the fixed form (j <= 13) and past it
+        values = np.array([2.0**-j for j in range(1, 25)] + [0.75, 0.375, 0.1875])
+        values = np.concatenate([values, -values])
+        lines, sent = self.written(monkeypatch, values)
+        assert lines == [format(v, ".17g") for v in values.tolist()]
+        assert {"0.25", "0.001953125", "7.62939453125e-06", "-0.5"} <= set(lines)
+        assert len(sent) == 0  # all written in bulk
+
+    def test_wide_fallback_cells_beside_bulk_cells(self, monkeypatch):
+        # fallback cells as long as a bulk cell or longer beside bulk cells: the
+        # longest %.17g float (24 bytes, where a bulk cell's text has at most
+        # 23), 1e308 and 30-character strings, whose block is wider
+        floats = np.array([0.5, -1.2345678901234567e-100, 2.5e-7, 1e308, -0.03125, 7.0e-5])
+        names = ["x" * 30, "a", "", "b" * 29, "peak", "z" * 30]
+        lines, sent = self.written(monkeypatch, floats)
+        assert lines == [format(v, ".17g") for v in floats.tolist()]
+        assert sorted(sent.tolist()) == [-1.2345678901234567e-100, 1e308]
+        body = cli._text_rows([floats, names, floats]).decode()
+        assert body.splitlines() == [f"{format(v, '.17g')},{n},{format(v, '.17g')}"
+                                     for v, n in zip(floats.tolist(), names)]
+
+    def test_shared_block_reads_as_its_columns(self):
+        # _filter builds the cells of columns shared by every file once, as one
+        # block; the rows must equal those of the same columns passed one by one
+        rng = np.random.default_rng(28)
+        p = np.linspace(0.25, 1.75, 512)
+        weight = rng.uniform(-1.0, 1.0, 512) * 10.0 ** rng.integers(-8, 2, 512)
+        weight[::50] = 0.0
+        shared = np.hstack([_text._cells(p), _text._cells(weight)])
+        g_t, f_t = rng.uniform(0.0, 1.0, (2, 512)) * 10.0 ** rng.integers(-110, 1, (2, 512))
+        names = np.array(["central_max", "minimum"] * 256)
+        together = cli._text_rows([shared, g_t, f_t, names])
+        assert together == cli._text_rows([p, weight, g_t, f_t, names])
+        assert together.count(b"\n") == 512
+
     def test_exact_decimal_midpoints_round_half_even(self, monkeypatch):
         # j / 2**s is j * 5**s / 10**s exactly: for odd j with j * 5**s of 18
         # digits, the 18th significant digit is a final 5, a tie at 17 digits.
-        # In the bulk range these exist for s = 22 ... 25 only (k = -5 ... -8).
-        digits = {j / 2**s: str(j * 5**s) for s in range(22, 26)
-                  for j in range(1, 10**18 // 5**s + 1, 2) if len(str(j * 5**s)) == 18}
+        # In the bulk range these exist for s = 18 ... 25 only (k = -1 ... -8),
+        # the first four in the fixed form; every 7th odd j of s = 18 and 19 is used.
+        digits = {j / 2**s: str(j * 5**s) for s in range(18, 26)
+                  for j in range(1, 10**18 // 5**s + 1, 14 if s < 20 else 2)
+                  if len(str(j * 5**s)) == 18}
         assert len(digits) > 200 and all(d[-1] == "5" for d in digits.values())
+        assert {math.floor(math.log10(v)) for v in digits} == set(range(-8, 0))
         values = np.array([*digits, *(-v for v in digits)])
         lines, sent = self.written(monkeypatch, values)
         assert lines == [format(v, ".17g") for v in values.tolist()]
@@ -828,16 +883,22 @@ class TestTableCells:
     def test_near_ties_read_as_format(self, monkeypatch):
         # v = j / 2**(t + m) has |v| * 10**t = j * 5**t / 2**m; j with
         # j * 5**t = 2**(m - 1) + d (mod 2**m) puts the fraction of that
-        # d / 2**m from one half: from 1e-17 to 1e-13 off a tie, not on one
+        # d / 2**m from one half: from 1e-17 to 1e-13 off a tie, not on one.
+        # j is raised by the least multiple of 2**m that puts N at 1e16 or
+        # above, which leaves the fraction as it is; below t = 23 every j
+        # needs it, and only m up to 46 keeps j below 2**53, so there the
+        # fractions lie 1e-14 to 3e-8 off a tie
         values = []
-        for t in range(24, 40):  # k = 16 - t from -8 to -23
-            for m in (56, 60, 63):
+        for t in range(17, 40):  # k = 16 - t from -1 to -23
+            for m in (36, 41, 46) if t < 23 else (56, 60, 63):
                 inverse = pow(5**t, -1, 2**m)
                 for d in range(-2000, 2001):
                     j = (2 ** (m - 1) + d) * inverse % 2**m
+                    j += max(0, -((j * 5**t - (10**16 << m)) // (5**t << m))) << m
                     if d and j < 2**53 and 10**16 <= (j * 5**t) >> m < 10**17:
                         values.append(j / 2 ** (t + m))
         assert len(values) > 500
+        assert {math.floor(math.log10(v)) for v in values} >= set(range(-4, 0))
         lines, _ = self.written(monkeypatch, np.array(values))
         assert lines == [format(v, ".17g") for v in values]
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -472,6 +473,17 @@ class TestTimeDerivatives:
         assert density > 0.0
         assert first == pytest.approx(fd_first, rel=1e-6)
         assert second == pytest.approx(fd_second, rel=1e-5)
+
+    def test_window_whose_energies_round_alike(self):
+        # every node energy of a window 1e-9 wide at p = 0 rounds to the mass:
+        # no rate, so the series keeps its time unit of 1 and divides by nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eng = PacketIntegrator(PacketSpec(p0=0.0, d=1.0, p_min=0.0, p_max=1e-9), None)
+            assert np.max(np.abs(eng._rate)) == 0.0
+            density = eng.density(0.0, [0.0, 1.0])
+            derivatives = eng.density_dt(0.0, [0.0, 1.0])
+        assert np.all(np.isfinite(density)) and np.all(np.isfinite(derivatives))
 
 
 class TestNodePolicy:
