@@ -84,7 +84,7 @@ def _text_rows(columns) -> bytes:
     """The cells of equal-length columns as CSV bytes, one line per row: their
     :func:`_cells` blocks (a 2-D array is one already) copied side by side into
     one C-ordered array, the last comma of each row made a newline and the NUL
-    padding dropped.  No columns (rows transposed from none) give no bytes.
+    padding deleted by one ``bytes.translate``.  No columns give no bytes.
     """
     blocks = [c if np.ndim(c) == 2 else _cells(c) for c in columns]
     if not blocks:
@@ -92,4 +92,4 @@ def _text_rows(columns) -> bytes:
     body = np.empty((len(blocks[0]), sum(b.shape[1] for b in blocks)), np.uint32)
     body = np.concatenate(blocks, axis=1, out=body).view(np.uint8)
     body[:, -1] = ord("\n")
-    return body[body != 0].tobytes()
+    return body.tobytes().translate(None, b"\0")

@@ -50,22 +50,25 @@ class MatchingSolution:
     t_coef: complex
 
 
-def _scaled_denominator(p, cfg: BarrierConfig):
+def _window_factors(p, cfg: BarrierConfig):
+    """``p`` as floats, rho and ``p^2 - v0 E``: :func:`_scaled_denominator`'s arguments but L."""
+    p = np.asarray(p, dtype=float)
+    return p, evanescent_rho(p, cfg), p * p - cfg.v0 * total_energy(p, cfg.mass)
+
+
+def _scaled_denominator(p, rho, beta, L: float):
     """``e^{-rho L}`` and the real and imaginary parts of ``e^{-rho L} D``.
 
-    ``D = p cosh(rho L) - i (p^2 - v0 E) L sinh(rho L)/(rho L)`` is the
-    denominator of t(p); with ``q(x) = (1 - e^{-2x}) / (2x)``, ``q(0) = 1``,
+    ``D = p cosh(rho L) - i beta L sinh(rho L)/(rho L)``, ``beta = p^2 - v0 E``,
+    is the denominator of t(p); with ``q(x) = (1 - e^{-2x}) / (2x)``, ``q(0) = 1``,
 
-        e^{-rho L} D = p (1 + e^{-2 rho L}) / 2 - i (p^2 - v0 E) L q(rho L),
+        e^{-rho L} D = p (1 + e^{-2 rho L}) / 2 - i beta L q(rho L),
 
-    finite at every width.  ``p`` is an array of any shape, 0-d included.
+    finite at every width, for arrays ``p``, rho and beta of one shape, 0-d included.
     """
-    rho = evanescent_rho(p, cfg)
-    L = float(cfg.width)
     decay = np.exp(-rho * L)
     # L q(rho L) = (1 - e^{-2 rho L}) / (2 rho), which is L at the edge rho = 0
     lq = np.divide(-np.expm1(-2.0 * rho * L), 2.0 * rho, out=np.full_like(rho, L), where=rho > 0.0)
-    beta = p * p - cfg.v0 * total_energy(p, cfg.mass)
     return decay, 0.5 * p * (1.0 + decay * decay), -beta * lq
 
 
@@ -85,7 +88,7 @@ def transmission_amplitude(p, cfg: BarrierConfig):
     if cfg.width == 0.0:
         # the scaled form is 0/0 at p = 0 here
         return np.ones(p.shape, dtype=complex)[()]
-    decay, re, im = _scaled_denominator(p, cfg)
+    decay, re, im = _scaled_denominator(*_window_factors(p, cfg), float(cfg.width))
     return (p * decay * np.exp(-1j * p * cfg.width) / (re + 1j * im))[()]
 
 
@@ -100,7 +103,7 @@ def transmission_phase(p, cfg: BarrierConfig):
     numerator stays negative.  Vanishes identically at L = 0.  Scalar in,
     numpy float out; arrays map elementwise.
     """
-    _, re, im = _scaled_denominator(np.asarray(p, dtype=float), cfg)
+    _, re, im = _scaled_denominator(*_window_factors(p, cfg), float(cfg.width))
     return np.arctan2(-im, re)[()]
 
 

@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DegenerateWeightError
 from .kinematics import BarrierConfig, momentum_window, total_energy
-from .scattering import transmission_amplitude
+from .scattering import _scaled_denominator, _window_factors, transmission_amplitude
 
 __all__ = [
     "PacketSpec",
@@ -437,19 +437,43 @@ def transmitted_density(
     return PacketIntegrator(spec, cfg, nodes=nodes).density(z, t_axis)
 
 
-def filtered_distributions(p, spec: PacketSpec, cfg: BarrierConfig):
+class _Filter:
+    """g, rho, ``p^2 - v0 E`` and ``E + m`` on momenta ``p``: the factors of (g_T, f_T)
+    that no width changes, for a packet and a barrier's v0 and mass.  Given ``nodes``
+    instead of ``p``, on the nodes of the first ``nodes // 64 - 1`` panels of that rule."""
+
+    def __init__(self, spec: PacketSpec, cfg: BarrierConfig, p=None, nodes: int | None = None):
+        if p is None:
+            p = _gauss_panels(_graded_edges(spec, cfg, nodes))[0][: nodes - _PANEL]
+        self.p, self.rho, self.beta = _window_factors(p, cfg)
+        self.g, self.e_m = momentum_weight(self.p, spec), total_energy(self.p, cfg.mass) + cfg.mass
+        self.key = (spec, cfg.v0, cfg.mass)
+
+    def __call__(self, spec: PacketSpec, cfg: BarrierConfig, p):
+        """(g_T, f_T) at ``cfg``'s width; ValueError if built for another packet, v0, mass or p."""
+        if self.key != (spec, cfg.v0, cfg.mass) or not np.array_equal(p, self.p):
+            raise ValueError("filter factors built for another packet, barrier or momenta")
+        decay, re, im = _scaled_denominator(self.p, self.rho, self.beta, cfg.width)
+        # |t| = p e^{-rho L} / |e^{-rho L} D| in real arithmetic; 1 at width 0 (0/0 at p = 0)
+        g_t = self.g * (self.p * decay / np.hypot(re, im) if cfg.width else 1.0)
+        return g_t, g_t * self.p / self.e_m
+
+
+def filtered_distributions(p, spec: PacketSpec, cfg: BarrierConfig, *, _filter=None):
     """Filtered momentum distributions (g_T, f_T) of the transmitted packet.
 
     ``g_T = g |t|`` weights the large component, ``f_T = g_T p / (E + m)``
-    the small one; both use the bare (peak value 1) weight convention.
+    the small one; both use the bare (peak value 1) weight convention.  |t|
+    is taken in real arithmetic, so every ``p`` must lie in the window, at
+    width 0 too.  ``_filter``, if given, is ``_Filter(spec, cfg, p)``.
     """
-    p_arr = np.asarray(p, dtype=float)
-    g_t = momentum_weight(p_arr, spec) * np.abs(transmission_amplitude(p_arr, cfg))
-    f_t = g_t * p_arr / (total_energy(p_arr, cfg.mass) + cfg.mass)
-    return g_t, f_t
+    p = np.asarray(p, dtype=float)
+    return (_filter or _Filter(spec, cfg, p))(spec, cfg, p)
 
 
-def filter_stats(spec: PacketSpec, cfg: BarrierConfig, nodes: int = 2048) -> FilterStats:
+def filter_stats(
+    spec: PacketSpec, cfg: BarrierConfig, nodes: int = 2048, *, _uniform=None
+) -> FilterStats:
     """Mean momentum, energy and velocity of the transmitted distribution.
 
     Means are taken against the full spinor weight ``g_T^2 + f_T^2``, on
@@ -457,10 +481,12 @@ def filter_stats(spec: PacketSpec, cfg: BarrierConfig, nodes: int = 2048) -> Fil
     barrier suppresses low momenta exponentially harder than high ones, so
     ``p_mean`` grows with the barrier width; for very wide barriers the
     weight underflows entirely and the means become undefined, which raises
-    :class:`DegenerateWeightError`.
+    :class:`DegenerateWeightError`.  ``_uniform``, if given, is the
+    ``_filter`` of all panels but the last: ``_Filter(spec, cfg, nodes=nodes)``.
     """
     p, w = _gauss_panels(_graded_edges(spec, cfg, nodes))
-    g_t, f_t = filtered_distributions(p, spec, cfg)
+    head = filtered_distributions(p[: nodes - _PANEL], spec, cfg, _filter=_uniform)
+    g_t, f_t = np.hstack((head, filtered_distributions(p[nodes - _PANEL :], spec, cfg)))
     weight = g_t * g_t + f_t * f_t
     total = float(np.sum(w * weight))
     if not np.isfinite(total) or total <= 0.0:

@@ -15,6 +15,7 @@ from dirac_tunnel import (
     filter_stats,
     filtered_distributions,
     momentum_weight,
+    momentum_window,
     total_energy,
     transmission_amplitude,
     transmitted_density,
@@ -590,6 +591,106 @@ class TestFilteredDistributions:
         assert g_t[0] == pytest.approx(
             abs(transmission_amplitude(P0, cfg)), rel=1e-13
         )
+
+
+def long_double_g_t(p, cfg):
+    """g |t| on momenta ``p`` with |t| = p e^{-rho L} / |e^{-rho L} D| in np.longdouble.
+
+    The weight g is the double one of ``momentum_weight``, so the difference
+    from g_T is the rounding of |t| alone (rho, the denominator, the modulus).
+    """
+    ld = np.longdouble
+    g = momentum_weight(p, SPEC).astype(ld)
+    p, mass, v0, width = p.astype(ld), ld(cfg.mass), ld(cfg.v0), ld(cfg.width)
+    energy = np.sqrt(p * p + mass * mass)
+    rho = np.sqrt(np.maximum(mass * mass - (energy - v0) ** 2, ld(0)))
+    decay = np.exp(-rho * width)
+    lq = np.divide(-np.expm1(-2 * rho * width), 2 * rho, out=np.full_like(rho, width), where=rho > 0)
+    return g * p * decay / np.hypot(p * (1 + decay * decay) / 2, (p * p - v0 * energy) * lq)
+
+
+def max_relative_error(got, want):
+    """Largest |got - want| / want where want > 0; got must be 0 where want is."""
+    support = want > 0
+    assert np.all(got[~support] == 0.0)
+    return float(np.max(np.abs(got[support] - want[support]) / want[support]))
+
+
+# Each bound is the largest relative error of the former path, g |t| with |t|
+# the modulus of the complex transmission_amplitude, against long_double_g_t,
+# rounded up to two digits: 5.6e-16 (curve) and 5.3e-16 (rule) at L = 0.5.
+# The real-arithmetic |t| stays within them; where rho's own rounding,
+# amplified by L, dominates (L >= 20) the two paths agree to an ulp or two,
+# and on the rule at L = 50 the new path's worst node lies one ulp above
+# the former path's (1.0815e-13 against 1.0794e-13), within its bound.
+G_T_BOUNDS = {
+    "curve": {0.5: 5.7e-16, 5.0: 1.6e-15, 20.0: 1.4e-14, 50.0: 7.3e-14, 100.0: 3.0e-13},
+    "rule": {0.5: 5.3e-16, 5.0: 1.9e-15, 20.0: 1.9e-14, 50.0: 1.1e-13, 100.0: 4.2e-13},
+}
+
+
+class TestFilterFactors:
+    """The factors of g_T and f_T built once (``_Filter``) against fresh calls."""
+
+    @staticmethod
+    def packet(v0):
+        # v0 = 2 has a window [sqrt(3), sqrt(8)] away from p = 0
+        cfg = BarrierConfig(v0=v0, width=0.0)
+        lo, hi = momentum_window(cfg)
+        return PacketSpec(p0=0.5 * (lo + hi), d=D_WIDTH, p_min=lo, p_max=hi), cfg
+
+    @pytest.mark.parametrize("v0", [1.0, 2.0])
+    @pytest.mark.parametrize("nodes", [192, 4096])
+    def test_hoisting_is_exact(self, v0, nodes):
+        spec, base = self.packet(v0)
+        p_axis = np.linspace(spec.p_min, spec.p_max, 2048)
+        curve = wavepacket._Filter(spec, base, p_axis)
+        uniform = wavepacket._Filter(spec, base, nodes=nodes)
+        for width in (0.0, 0.5, 37.5, 100.0):
+            cfg = BarrierConfig(v0=v0, width=width)
+            hoisted = filtered_distributions(p_axis, spec, cfg, _filter=curve)
+            fresh = filtered_distributions(p_axis, spec, cfg)
+            assert all(np.array_equal(a, b) for a, b in zip(hoisted, fresh))
+            stats = filter_stats(spec, cfg, nodes=nodes, _uniform=uniform)
+            assert stats == filter_stats(spec, cfg, nodes=nodes)
+
+    def test_factors_of_another_packet_barrier_or_rule_are_refused(self):
+        spec, base = self.packet(1.0)
+        cfg = barrier(10.0)
+        p_axis = np.linspace(spec.p_min, spec.p_max, 64)
+        curve = wavepacket._Filter(spec, base, p_axis)
+        uniform = wavepacket._Filter(spec, base, nodes=192)
+        wider = PacketSpec(p0=spec.p0, d=2.0 * spec.d, p_min=spec.p_min, p_max=spec.p_max)
+        lighter = BarrierConfig(v0=1.0, width=10.0, mass=0.75)
+        for other in (dict(spec=wider), dict(cfg=BarrierConfig(v0=1.5, width=10.0)),
+                      dict(cfg=lighter)):
+            args = dict(spec=spec, cfg=cfg) | other
+            with pytest.raises(ValueError, match="another packet"):
+                filtered_distributions(p_axis, **args, _filter=curve)
+            with pytest.raises(ValueError, match="another packet"):
+                filter_stats(**args, nodes=192, _uniform=uniform)
+        with pytest.raises(ValueError, match="another packet"):
+            filtered_distributions(p_axis[::-1], spec, cfg, _filter=curve)
+        with pytest.raises(ValueError, match="another packet"):
+            filter_stats(spec, cfg, nodes=256, _uniform=uniform)
+        # the offset and the width do not enter the factors
+        moved = BarrierConfig(v0=1.0, width=20.0, offset=3.0)
+        assert filter_stats(spec, moved, nodes=192, _uniform=uniform) == filter_stats(
+            spec, moved, nodes=192
+        )
+
+    @LONG_DOUBLE
+    @pytest.mark.parametrize("axis", ["curve", "rule"])
+    @pytest.mark.parametrize("width", [0.5, 5.0, 20.0, 50.0, 100.0])
+    def test_g_t_against_long_double(self, axis, width):
+        # the 2048-sample curve axis, and the nodes of the graded rule of 2048
+        cfg = barrier(width)
+        if axis == "curve":
+            p = np.linspace(SPEC.p_min, SPEC.p_max, 2048)
+        else:
+            p = wavepacket._gauss_panels(wavepacket._graded_edges(SPEC, cfg, 2048))[0]
+        g_t, _ = filtered_distributions(p, SPEC, cfg)
+        assert max_relative_error(g_t, long_double_g_t(p, cfg)) <= G_T_BOUNDS[axis][width]
 
 
 # Frozen means of the transmitted distribution, canonical packet.
