@@ -148,7 +148,7 @@ _KEYS = {
     ("geometry", "D"): ("detectors", "", _parse_float_list),
     ("geometry", "offset"): ("offset", "0.0", _parse_float),
     # whole 64-point panels, up to the gate's node ceiling
-    ("numerics", "nodes"): ("nodes", "2048", _parse_int,
+    ("numerics", "nodes"): ("nodes", "512", _parse_int,
                             lambda n: 64 <= n <= MAX_NODES and not n % 64,
                             f"must be a multiple of 64 from 64 to {MAX_NODES}"),
     ("numerics", "tolerance"): ("tolerance", "1e-8", _parse_float,

@@ -27,7 +27,10 @@ if the panel count would be odd, so every rule has an even panel count
 and merging its panels in pairs leaves none shared.  ``nodes`` is the
 rule's uniform base; its node count is larger by 64 per piece of the last
 panel beyond the first.  The packet densities and the filter statistics
-are integrated on this one rule.
+are integrated on this one rule, in edge coordinates (Higham 2002, ch.
+1-3): edges and nodes are distances ``u = p_max - p``, the graded edges
+exact, and ``s = E(p_max) - E`` and rho follow from u without cancellation
+(:func:`_edge_nodes`), so a node in the layer sits where its weight assumes.
 
 A curve is the sum over the N nodes of the coefficients times the phase
 ``exp(i p z - i E t)`` at each of its K points.  On an evenly spaced grid
@@ -41,14 +44,14 @@ about ``2 log2(sqrt(K))`` unit phases, one per chunk and ``2 sqrt(K)``
 complex products, plus one matrix product per chunk; other grids, and axes
 of fewer than four points, take the direct sum, a unit phase per point.
 
-Every sum measures its phases from one origin per rule, the midpoints
-``p_c`` and ``E_c`` of its momenta and energies, as ``(p - p_c) z - (E -
-E_c) t``, whose rounding stays small: ``amplitudes`` lack the phase ``exp(i(p_c
-z - E_c t))`` common to both components, which the densities drop.
-Near a single time t0 the amplitudes are a Taylor series in (t - t0) / u,
-u a power of two the origin sets too (``PacketIntegrator._taylor``), a unit
-phase per node in all; the peak refinement (``_refine``) and ``density_dt``
-read densities and time derivatives from it.
+Every sum measures its phases from one origin per rule, the |c|-weighted
+centre ``(p_c, E_c) = (p_max - u_c, E(p_max) - s_c)`` of its nodes, as
+``(u_c - u) z - (s_c - s) t``, small where the weight sits: ``amplitudes``
+lack the phase ``exp(i(p_c z - E_c t - p_max L))`` common to both
+components, which the densities drop.  Near one time t0 the amplitudes are
+a Taylor series in (t - t0) / T, T a power of two the rates set
+(``PacketIntegrator._taylor``, a unit phase per node in all), from which
+``_refine`` and ``density_dt`` read densities and time derivatives.
 """
 
 from __future__ import annotations
@@ -59,8 +62,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateWeightError
-from .kinematics import BarrierConfig, momentum_window, total_energy
-from .scattering import _scaled_denominator, _window_factors, transmission_amplitude
+from .kinematics import BarrierConfig, evanescent_rho, momentum_window, total_energy
+# transmission_amplitude is not called here: perfbench/tracer.py wraps it by this name
+from .scattering import _scaled_denominator, transmission_amplitude  # noqa: F401
 
 __all__ = [
     "PacketSpec",
@@ -85,8 +89,7 @@ MAX_NODES = 65536
 # = 7e-19 and 0.5**15 / 15! = 2e-17, lie below eps = 2.2e-16 of sum |c|
 _TAYLOR_TERMS = 16
 _TAYLOR_REACH = 0.5
-# The free packet: v0 does not enter, since at width 0 transmission_amplitude
-# returns exactly 1 before it computes rho
+# The free packet: at width 0 the coefficients take no t(p), so v0 does not enter
 _FREE = BarrierConfig(v0=1.0, width=0.0)
 
 
@@ -153,10 +156,10 @@ def momentum_weight(p, spec: PacketSpec):
 
 
 def _graded_edges(spec: PacketSpec, cfg: BarrierConfig, nodes: int) -> np.ndarray:
-    """Panel edges of the rule of ``nodes`` nodes (see the module docstring)."""
+    """Panel edges, distances u = p_max - p, of the rule of ``nodes`` nodes (module docstring)."""
     if nodes <= 0 or nodes % _PANEL:
         raise ValueError(f"nodes must be a positive multiple of {_PANEL}, got {nodes}")
-    edges = np.linspace(spec.p_min, spec.p_max, nodes // _PANEL + 1)
+    edges = np.linspace(spec.p_max - spec.p_min, 0.0, nodes // _PANEL + 1)
     # the last panel, kept whole at width 0
     graded = edges[-1:]
     if cfg.width > 0.0:
@@ -165,9 +168,8 @@ def _graded_edges(spec: PacketSpec, cfg: BarrierConfig, nodes: int) -> np.ndarra
         first = max(0.25 / (c2 * cfg.width * cfg.width), np.finfo(float).eps * spec.p_max)
         # from p_max: first, 2 first, ..., 2^(pieces-2) first, then the rest of
         # the panel, at least 2^(pieces-1) first wide; one piece keeps it whole
-        pieces = max(1, int(math.log2((spec.p_max - edges[-2]) / first + 1.0)))
-        distances = first * (2.0 ** np.arange(pieces - 1, 0, -1) - 1.0)
-        graded = np.append(spec.p_max - distances, spec.p_max)
+        pieces = max(1, int(math.log2(edges[-2] / first + 1.0)))
+        graded = np.append(first * (2.0 ** np.arange(pieces - 1, 0, -1) - 1.0), 0.0)
     if (edges.size + graded.size) % 2:
         graded = np.insert(graded, 0, 0.5 * (edges[-2] + graded[0]))
     return np.concatenate((edges[:-1], graded))
@@ -182,12 +184,22 @@ def _split(edges: np.ndarray) -> np.ndarray:
 
 
 def _gauss_panels(edges: np.ndarray):
-    """Nodes and weights of the 64-point Gauss-Legendre rule on each panel of ``edges``."""
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    p = (mid[:, None] + half[:, None] * _PANEL_NODES[None, :]).ravel()
-    w = (half[:, None] * _PANEL_WEIGHTS[None, :]).ravel()
-    return p, w
+    """64-point Gauss-Legendre nodes and weights on each panel of rising or falling ``edges``."""
+    half, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
+    x = (mid[:, None] + np.outer(half, _PANEL_NODES)).ravel()
+    return x, np.outer(np.abs(half), _PANEL_WEIGHTS).ravel()
+
+
+def _edge_nodes(spec: PacketSpec, cfg: BarrierConfig, u, need_rho: bool = True):
+    """p = p_max - u, E, s = E(p_max) - E = u (p_max + p) / (E(p_max) + E) and rho at u: sqrt(s (2m
+    - s)) on a spec in ``cfg``'s window up to its edge (E = v0 + m), else from p if ``need_rho``."""
+    p = spec.p_max - u
+    energy = total_energy(p, cfg.mass)
+    s = u * (spec.p_max + p) / (total_energy(spec.p_max, cfg.mass) + energy)
+    lo, hi = momentum_window(cfg)
+    if spec.p_max == hi and spec.p_min >= lo:
+        return p, energy, s, np.sqrt(s * (2.0 * cfg.mass - s))
+    return p, energy, s, evanescent_rho(p, cfg) if need_rho else None
 
 
 def _fine_block(axis: np.ndarray) -> tuple[float, int]:
@@ -274,22 +286,24 @@ class PacketIntegrator:
         _edges: np.ndarray | None = None,
     ):
         cfg = _FREE if cfg is None else cfg
-        mass = cfg.mass
         # the gate's split and merged rules pass their panels instead
         self._edges = _graded_edges(spec, cfg, nodes) if _edges is None else _edges
-        p, w = _gauss_panels(self._edges)
-        self.nodes = p.size
-        self.p = p
-        self.energy = total_energy(p, mass)
-        coef = w * momentum_weight(p, spec) * transmission_amplitude(p, cfg)
+        u, w = _gauss_panels(self._edges)
+        p, self.energy, s, rho = _edge_nodes(spec, cfg, u, need_rho=cfg.width > 0.0)
+        self.p, self.nodes = p, p.size
+        coef = w * momentum_weight(p, spec)
+        if cfg.width:
+            # t(p) without its phase e^{-i p_max L}, common to every node
+            decay, re, im = _scaled_denominator(p, rho, p * p - cfg.v0 * self.energy, cfg.width)
+            coef = coef * (p * decay * np.exp(1j * u * cfg.width) / (re + 1j * im))
         # Constant amplitude normalization, see the module docstring.
-        self._scale = 2.0 * float(total_energy(spec.p0, mass))
+        self._scale = 2.0 * float(total_energy(spec.p0, cfg.mass))
         # the two coefficient rows c0 (large component) and c2 (small)
-        self._coef = np.stack((coef, coef * (p / (self.energy + mass))))
-        # the rates from the phase origin (p_c, E_c) of every sum; the series' unit of
-        # time, the power of two at or below its reach (1 with no rate: all energies alike)
-        self._wave = p - 0.5 * (p.min() + p.max())
-        self._rate = self.energy - 0.5 * (self.energy.min() + self.energy.max())
+        self._coef = np.stack((coef, coef * (p / (self.energy + cfg.mass))))
+        # the rates from the phase origin of every sum, the |c|-weighted centre (u_c, s_c);
+        # the series' unit of time, the power of two at or below its reach (1 with no rate)
+        weight = np.abs(coef) / (np.sum(np.abs(coef)) or 1.0)
+        self._wave, self._rate = weight @ u - u, weight @ s - s
         top = np.max(np.abs(self._rate))
         self._unit = math.ldexp(1.0, math.frexp(_TAYLOR_REACH / top)[1] - 1) if top else 1.0
 
@@ -337,7 +351,7 @@ class PacketIntegrator:
         """Large and small component amplitudes ``(g, f)`` at position z over times ts.
 
         Summed from the rule's origin, so both lack the phase ``exp(i(p_c z
-        - E_c t))`` they share, which no density sees.
+        - E_c t - p_max L))`` they share, which no density sees.
         """
         g, f = self._scale * self._sum_over_nodes(self._coef, -self._rate, ts, self._wave * z)
         return g, f
@@ -359,8 +373,8 @@ class PacketIntegrator:
         Term k of component c about the K times ``t0s`` (shape ``(16, 2, K)``)
         is ``M_k = sum_n c_n exp(i(_wave_n z - _rate_n t0)) (-i _rate_n
         _unit)^k / k!``, phases from the rule's origin, so the amplitudes at
-        ``t0 + s _unit`` are ``exp(i(p_c z - E_c (t0 + s _unit))) sum_k M_k
-        s^k``; that common phase drops out of |psi|^2 and its derivatives.  All
+        ``t0 + s _unit`` are ``exp(i(p_c z - E_c (t0 + s _unit) - p_max L))
+        sum_k M_k s^k``; that common phase drops out of |psi|^2 and its derivatives.  All
         32 rows are summed in one :meth:`_sum_over_nodes`, a unit phase per
         time.  As ``|_rate_n _unit| <= 1/2``, no term overflows at any mass,
         and the sums are exact to below eps x sum |c| while ``|s| <= 1``.
@@ -438,15 +452,20 @@ def transmitted_density(
 
 
 class _Filter:
-    """g, rho, ``p^2 - v0 E`` and ``E + m`` on momenta ``p``: the factors of (g_T, f_T)
-    that no width changes, for a packet and a barrier's v0 and mass.  Given ``nodes``
-    instead of ``p``, on the nodes of the first ``nodes // 64 - 1`` panels of that rule."""
+    """g, rho, ``p^2 - v0 E`` and ``E + m``, the factors of (g_T, f_T) that no width changes, for
+    a packet and a barrier's v0 and mass: on momenta ``p``, or as :func:`_edge_nodes` reads them
+    at distances ``u`` from p_max, given or of the first ``nodes // 64 - 1`` panels of that rule."""
 
-    def __init__(self, spec: PacketSpec, cfg: BarrierConfig, p=None, nodes: int | None = None):
+    def __init__(self, spec: PacketSpec, cfg: BarrierConfig, p=None, nodes=None, *, u=None):
         if p is None:
-            p = _gauss_panels(_graded_edges(spec, cfg, nodes))[0][: nodes - _PANEL]
-        self.p, self.rho, self.beta = _window_factors(p, cfg)
-        self.g, self.e_m = momentum_weight(self.p, spec), total_energy(self.p, cfg.mass) + cfg.mass
+            if u is None:
+                u = _gauss_panels(_graded_edges(spec, cfg, nodes)[: nodes // _PANEL])[0]
+            p, energy, _, self.rho = _edge_nodes(spec, cfg, u)
+        else:
+            p = np.asarray(p, dtype=float)
+            energy, self.rho = total_energy(p, cfg.mass), evanescent_rho(p, cfg)
+        self.p, self.beta = p, p * p - cfg.v0 * energy
+        self.g, self.e_m = momentum_weight(p, spec), energy + cfg.mass
         self.key = (spec, cfg.v0, cfg.mass)
 
     def __call__(self, spec: PacketSpec, cfg: BarrierConfig, p):
@@ -484,9 +503,10 @@ def filter_stats(
     :class:`DegenerateWeightError`.  ``_uniform``, if given, is the
     ``_filter`` of all panels but the last: ``_Filter(spec, cfg, nodes=nodes)``.
     """
-    p, w = _gauss_panels(_graded_edges(spec, cfg, nodes))
-    head = filtered_distributions(p[: nodes - _PANEL], spec, cfg, _filter=_uniform)
-    g_t, f_t = np.hstack((head, filtered_distributions(p[nodes - _PANEL :], spec, cfg)))
+    u, w = _gauss_panels(_graded_edges(spec, cfg, nodes))
+    p, n = spec.p_max - u, nodes - _PANEL
+    head = (_uniform or _Filter(spec, cfg, u=u[:n]))(spec, cfg, p[:n])
+    g_t, f_t = np.hstack((head, _Filter(spec, cfg, u=u[n:])(spec, cfg, p[n:])))
     weight = g_t * g_t + f_t * f_t
     total = float(np.sum(w * weight))
     if not np.isfinite(total) or total <= 0.0:

@@ -34,6 +34,8 @@ from dirac_tunnel.wavepacket import (
 )
 
 REPO = Path(__file__).resolve().parents[1]
+# the CLI's documented default rule size, read from its key table
+DEFAULT_NODES = int(cli._KEYS[("numerics", "nodes")][1])
 
 
 def read_manifest(directory: Path) -> dict:
@@ -128,7 +130,7 @@ class TestValidateConfig:
         assert config.physics.d == 10.0
         assert config.geometry.widths == (10.0,)
         assert config.geometry.detectors == ()
-        assert config.numerics.nodes == 2048
+        assert config.numerics.nodes == DEFAULT_NODES
         assert config.numerics.tolerance == 1e-8
         assert config.output.format == "csv"
 
@@ -404,9 +406,12 @@ class TestMainErrors:
     def test_accepted_nodes_never_raise_value_error_once_built(self, monkeypatch, tol):
         # The largest start the CLI accepts builds its rule, after which the
         # gate compares it with its merged rule and keeps it or runs out of
-        # nodes (ConvergenceError), never refuses the start.
+        # nodes (ConvergenceError), never refuses the start.  The probe is the
+        # transmitted peak 3e4 behind an L = 10 barrier, where p z and E t are
+        # about 3e4 and 6e4: the two rules agree to 1.4e-12, within 1e-8 but
+        # not 1e-14.
         nodes = MAX_NODES
-        cfg = BarrierConfig(v0=1.0, width=100.0)
+        cfg = BarrierConfig(v0=1.0, width=10.0)
         spec = PacketSpec.for_barrier(cfg, p0=math.sqrt(3.0) / 2.0, d=10.0)
         assert validate_config({}, "table1", overrides={("numerics", "nodes"): str(nodes)})
         tables = []
@@ -417,16 +422,17 @@ class TestMainErrors:
             tables.append(integrator.nodes)
 
         monkeypatch.setattr(PacketIntegrator, "__init__", spy)
+        window = (43225.0, 43325.0)
         if tol == 1e-8:
-            records = scan_peaks(100.0, (30.0, 40.0), spec, cfg, nodes=nodes, tol=tol)
+            records = scan_peaks(3e4, window, spec, cfg, nodes=nodes, tol=tol)
             assert records
         else:
-            # the graded rule of MAX_NODES at L = 100 has 65920 nodes
-            message = "the largest rule compared has 65920 nodes"
+            # at L = 10 the last panel is not graded: the rule has MAX_NODES nodes
+            message = f"the largest rule compared has {MAX_NODES} nodes"
             with pytest.raises(ConvergenceError, match=message):
-                scan_peaks(100.0, (30.0, 40.0), spec, cfg, nodes=nodes, tol=tol)
+                scan_peaks(3e4, window, spec, cfg, nodes=nodes, tol=tol)
         # the rule kept and its merged rule, no other
-        assert tables == [65920, 32960]
+        assert tables == [MAX_NODES, MAX_NODES // 2]
 
     @pytest.mark.parametrize("spec", ["10:5:1", "10:20", "a:b:c", "0:10:0", "0:10:nan",
                                       "nan:10:1", "0:inf:1", "4:8:inf"])
@@ -658,7 +664,7 @@ class TestFilterBytes:
         spec = cli._packet(config)
         p_axis = np.linspace(spec.p_min, spec.p_max, 64)
         weight = momentum_weight(p_axis, spec)
-        physics = f"V0=1 m=1 p0={cell(math.sqrt(3.0) / 2.0)} d=10 nodes=2048"
+        physics = f"V0=1 m=1 p0={cell(math.sqrt(3.0) / 2.0)} d=10 nodes={DEFAULT_NODES}"
         stats_rows = []
         for width, tag in ((0.0, "0"), (37.5, "37p5")):
             cfg = cli._barrier(config, width)
@@ -667,7 +673,7 @@ class TestFilterBytes:
             assert comment == physics.replace(" p0=", f" L={cell(width)} p0=")
             assert header == ["p", "weight", "g_t", "f_t"]
             assert rows == [list(map(cell, row)) for row in zip(p_axis, weight, g_t, f_t)]
-            stats = filter_stats(spec, cfg, nodes=2048)
+            stats = filter_stats(spec, cfg, nodes=DEFAULT_NODES)
             ratio = stats.p_mean / (stats.e_mean + 1.0)
             stats_rows.append([cell(width), *map(cell, dataclasses.astuple(stats)), cell(ratio)])
         comment, header, rows = read_table(tmp_path / "filter_stats", fmt)

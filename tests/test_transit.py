@@ -246,11 +246,8 @@ class TestScanBehavior:
         assert sizes and set(sizes) == {1}
         assert len(sizes) <= 10
 
-    @pytest.mark.parametrize("width, tol, grids", [(10.0, 1e-8, [2304]), (30.0, 1e-14, [2560, 5120])])
-    def test_grid_is_evaluated_once_on_the_kept_rule(self, monkeypatch, width, tol, grids):
-        # A gated scan evaluates its grid on the graded rule of its 2048
-        # nodes (2304 and 2560 with the grading); only a gate that escalates
-        # past that rule makes it evaluate the grid again.
+    @staticmethod
+    def _spy_grids(monkeypatch):
         grid_nodes = []
         density = PacketIntegrator.density
 
@@ -260,8 +257,26 @@ class TestScanBehavior:
             return density(integrator, z, ts)
 
         monkeypatch.setattr(PacketIntegrator, "density", spy)
+        return grid_nodes
+
+    @pytest.mark.parametrize("width, tol, grids", [(10.0, 1e-8, [2304]), (30.0, 1e-14, [2560])])
+    def test_grid_is_evaluated_once_on_the_kept_rule(self, monkeypatch, width, tol, grids):
+        # A gated scan evaluates its grid on the graded rule of its 2048
+        # nodes (2304 and 2560 with the grading), and keeps it at the
+        # downstream face: at L = 30 a 1e-14 gate too
+        grid_nodes = self._spy_grids(monkeypatch)
         scan_peaks(width, (-100.0, 100.0), SPEC, barrier(width), tol=tol)
         assert grid_nodes == grids
+
+    def test_an_escalating_gate_evaluates_the_grid_again(self, monkeypatch):
+        # 1e4 behind an L = 10 barrier the phase p z - E t varies by 4e3 rad
+        # across the window: the graded rule of 2048 (2304 nodes) and its
+        # split differ by 4e-4, so the gate escalates to 9216 nodes, and the
+        # grid is evaluated a second time, on that rule only
+        tables, grid_nodes = _spy_tables(monkeypatch), self._spy_grids(monkeypatch)
+        scan_peaks(1e4, (14365.0, 14465.0), SPEC, barrier(10.0), tol=1e-8)
+        assert tables == [2304, 1152, 4608, 9216]
+        assert grid_nodes == [2304, 9216]
 
     def test_a_passed_check_builds_two_tables_and_one_grid(self, monkeypatch):
         # gated at 1e-8, the kept rule passes its check against its merged
@@ -289,24 +304,23 @@ LONG_DOUBLE = pytest.mark.skipif(
 def long_double_root(eng, z, t):
     """Root of d|psi|^2/dt near ``t`` and its density, by Newton in np.longdouble.
 
-    The sums run over ``eng``'s node table with energies measured from their
-    midpoint E_c, so each derivative's terms stay small; the factor
-    exp(-i E_c t) drops out of |psi|^2.  Started from a refined time, a few
-    rounds reach the long-double root.
+    The sums run over ``eng``'s node table with its own phases, ``_wave z -
+    _rate t`` from the rule's origin, so each derivative's terms stay small;
+    the origin's own phase drops out of |psi|^2.  Started from a refined time,
+    a few rounds reach the long-double root.
     """
     ld = np.longdouble
     coef = eng._coef.astype(np.clongdouble) * ld(eng._scale)
-    p, energy = eng.p.astype(ld), eng.energy.astype(ld)
-    rate = energy - (energy.min() + energy.max()) / 2
+    wave, rate = eng._wave.astype(ld), eng._rate.astype(ld)
     t = ld(t)
     for _ in range(6):
-        arg = p * ld(z) - energy * t
+        arg = wave * ld(z) - rate * t
         terms = coef * (np.cos(arg) + 1j * np.sin(arg))
         g0, g1, g2 = ((terms * factor).sum(axis=1) for factor in (1, -1j * rate, -rate * rate))
         first = 2 * (g0.conj() * g1).real.sum()
         second = 2 * ((g0.conj() * g2).real.sum() + (g1 * g1.conj()).real.sum())
         t = t - first / second
-    arg = p * ld(z) - energy * t
+    arg = wave * ld(z) - rate * t
     g0 = (coef * (np.cos(arg) + 1j * np.sin(arg))).sum(axis=1)
     return t, (g0 * g0.conj()).real.sum()
 
@@ -350,6 +364,16 @@ class TestRefinementLongDouble:
         assert refined["times"][0] <= 1e-11
         if step < 1.0:
             assert refined["series"] == 1
+
+    @pytest.mark.parametrize("width, t_range", [(800.0, (200.0, 400.0)), (1600.0, (500.0, 700.0))])
+    def test_wide_central_time_long_double(self, refined, width, t_range):
+        # the weight sits in a layer at p_max; phases from its weighted centre
+        # keep tau within 1e-10 (from the window's midpoint, every rate that
+        # carries weight is near 0.5, the time derivatives cancel, and tau is
+        # off by 3e-10 at L = 800 and 6e-9 at L = 1600)
+        numeric_tunneling_time(SPEC, barrier(width), t_range=t_range)
+        assert len(refined["times"]) == 1
+        assert refined["times"][0] <= 1e-10
 
     @pytest.mark.parametrize("step", [0.25, 4.0])
     def test_fringes_long_double(self, refined, step):

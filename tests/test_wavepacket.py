@@ -181,6 +181,37 @@ def long_double_density(eng, zs, ts):
     return np.concatenate(parts).astype(float)
 
 
+def long_double_rule_density(eng, cfg, z, t):
+    """|psi|^2 at (z, t) on ``eng``'s rule, every step from its panel edges in np.longdouble.
+
+    The edges are distances u from p_max; the nodes u and weights |half| w of
+    each panel, p = p_max - u, s = E(p_max) - E, rho = sqrt(s (2m - s)), t(p),
+    g and the phases follow from them and the double Gauss-Legendre nodes and
+    weights in long double, so the difference from the double path is its
+    rounding: node placement, node table and sum alike.
+    """
+    ld = np.longdouble
+    edges = eng._edges.astype(ld)
+    half, mid = (edges[1:] - edges[:-1]) / 2, (edges[1:] + edges[:-1]) / 2
+    x, weights = wavepacket._PANEL_NODES.astype(ld), wavepacket._PANEL_WEIGHTS.astype(ld)
+    u = (mid[:, None] + half[:, None] * x).ravel()
+    w = (np.abs(half)[:, None] * weights).ravel()
+    mass, v0, width, p_max = ld(cfg.mass), ld(cfg.v0), ld(cfg.width), ld(SPEC.p_max)
+    p = p_max - u
+    energy = np.sqrt(p * p + mass * mass)
+    s = u * (p_max + p) / (np.sqrt(p_max * p_max + mass * mass) + energy)
+    rho = np.sqrt(s * (2 * mass - s))
+    decay = np.exp(-rho * width)
+    lq = -np.expm1(-2 * rho * width) / (2 * rho)
+    denominator = p * (1 + decay * decay) / 2 - 1j * (p * p - v0 * energy) * lq
+    g = np.exp(-((p - ld(SPEC.p0)) ** 2) * ld(SPEC.d) ** 2 / 4)
+    # p z - E t - p L less its value at (p_max, E(p_max)), which no density sees
+    arg = u * (width - ld(z)) + s * ld(t)
+    large = w * g * p * decay / denominator * (np.cos(arg) + 1j * np.sin(arg))
+    scale = 4 * (ld(SPEC.p0) ** 2 + mass * mass)
+    return float(scale * (abs(large.sum()) ** 2 + abs((large * p / (energy + mass)).sum()) ** 2))
+
+
 class TestFactorizedKernel:
     """density and density_z against a direct exp sum over the same nodes."""
 
@@ -476,12 +507,15 @@ class TestTimeDerivatives:
         assert second == pytest.approx(fd_second, rel=1e-5)
 
     def test_window_whose_energies_round_alike(self):
-        # every node energy of a window 1e-9 wide at p = 0 rounds to the mass:
-        # no rate, so the series keeps its time unit of 1 and divides by nothing
+        # every node energy of a window 1e-9 wide at p = 0 rounds to the mass,
+        # but the rates, taken from the distances to p_max, do not (about 3e-19):
+        # the series' unit of time is a large power of two, and nothing divides
+        # by zero or overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             eng = PacketIntegrator(PacketSpec(p0=0.0, d=1.0, p_min=0.0, p_max=1e-9), None)
-            assert np.max(np.abs(eng._rate)) == 0.0
+            assert np.all(eng.energy == 1.0)
+            assert 0.0 < np.max(np.abs(eng._rate)) < 1e-18 and math.isfinite(eng._unit)
             density = eng.density(0.0, [0.0, 1.0])
             derivatives = eng.density_dt(0.0, [0.0, 1.0])
         assert np.all(np.isfinite(density)) and np.all(np.isfinite(derivatives))
@@ -501,10 +535,14 @@ class TestNodePolicy:
         assert PacketIntegrator(SPEC, None, nodes=192).nodes == 256
         assert PacketIntegrator(SPEC, barrier(0.0), nodes=192).nodes == 256
         assert PacketIntegrator(SPEC, barrier(0.0), nodes=256).nodes == 256
+        # edges are distances u from p_max: the momenta p_max - u of the
+        # uniform ones are those of the uniform base, to rounding
         graded = PacketIntegrator(SPEC, barrier(10.0), nodes=192)
+        distances = np.linspace(SPEC.p_max - SPEC.p_min, 0.0, 4)
+        pieces = np.count_nonzero(graded._edges < distances[-2])
+        assert np.array_equal(graded._edges[:3], distances[:3])
         base = np.linspace(SPEC.p_min, SPEC.p_max, 4)
-        pieces = np.count_nonzero(graded._edges > base[-2])
-        assert np.array_equal(graded._edges[:3], base[:3])
+        assert np.allclose(SPEC.p_max - graded._edges[:3], base[:3], rtol=0.0, atol=4e-16)
         assert pieces > 1
         assert graded.nodes == 128 + 64 * pieces
 
@@ -593,17 +631,26 @@ class TestFilteredDistributions:
         )
 
 
-def long_double_g_t(p, cfg):
+def long_double_g_t(p, cfg, u=None):
     """g |t| on momenta ``p`` with |t| = p e^{-rho L} / |e^{-rho L} D| in np.longdouble.
 
     The weight g is the double one of ``momentum_weight``, so the difference
     from g_T is the rounding of |t| alone (rho, the denominator, the modulus).
+    Given the distances ``u`` from p_max that ``p`` was read from, p = p_max - u
+    and rho = sqrt(s (2m - s)), s = E(p_max) - E, are taken from u in long double.
     """
     ld = np.longdouble
     g = momentum_weight(p, SPEC).astype(ld)
     p, mass, v0, width = p.astype(ld), ld(cfg.mass), ld(cfg.v0), ld(cfg.width)
+    if u is not None:
+        u, p_max = u.astype(ld), ld(SPEC.p_max)
+        p = p_max - u
     energy = np.sqrt(p * p + mass * mass)
-    rho = np.sqrt(np.maximum(mass * mass - (energy - v0) ** 2, ld(0)))
+    if u is None:
+        rho = np.sqrt(np.maximum(mass * mass - (energy - v0) ** 2, ld(0)))
+    else:
+        s = u * (p_max + p) / (np.sqrt(p_max * p_max + mass * mass) + energy)
+        rho = np.sqrt(s * (2 * mass - s))
     decay = np.exp(-rho * width)
     lq = np.divide(-np.expm1(-2 * rho * width), 2 * rho, out=np.full_like(rho, width), where=rho > 0)
     return g * p * decay / np.hypot(p * (1 + decay * decay) / 2, (p * p - v0 * energy) * lq)
@@ -683,14 +730,19 @@ class TestFilterFactors:
     @pytest.mark.parametrize("axis", ["curve", "rule"])
     @pytest.mark.parametrize("width", [0.5, 5.0, 20.0, 50.0, 100.0])
     def test_g_t_against_long_double(self, axis, width):
-        # the 2048-sample curve axis, and the nodes of the graded rule of 2048
+        # the 2048-sample curve axis, and the nodes of the graded rule of 2048,
+        # momenta p_max - u read from their distances u, as filter_stats reads them
         cfg = barrier(width)
         if axis == "curve":
             p = np.linspace(SPEC.p_min, SPEC.p_max, 2048)
+            g_t, _ = filtered_distributions(p, SPEC, cfg)
+            want = long_double_g_t(p, cfg)
         else:
-            p = wavepacket._gauss_panels(wavepacket._graded_edges(SPEC, cfg, 2048))[0]
-        g_t, _ = filtered_distributions(p, SPEC, cfg)
-        assert max_relative_error(g_t, long_double_g_t(p, cfg)) <= G_T_BOUNDS[axis][width]
+            u = wavepacket._gauss_panels(wavepacket._graded_edges(SPEC, cfg, 2048))[0]
+            p = SPEC.p_max - u
+            g_t, _ = wavepacket._Filter(SPEC, cfg, u=u)(SPEC, cfg, p)
+            want = long_double_g_t(p, cfg, u)
+        assert max_relative_error(g_t, want) <= G_T_BOUNDS[axis][width]
 
 
 # Frozen means of the transmitted distribution, canonical packet.
@@ -793,6 +845,20 @@ class TestConvergence:
         estimate = excinfo.value.estimate
         assert estimate == pytest.approx(2.29544239794700562e-08, rel=1e-6)
 
+    @LONG_DOUBLE
+    @pytest.mark.parametrize("nodes", [512, 2048])
+    @pytest.mark.parametrize("width, t", [(75.0, 26.5), (100.0, 36.25), (800.0, 300.75)])
+    def test_probe_density_long_double(self, width, t, nodes):
+        # the gate's probe, the grid maximum at the downstream face, on the
+        # graded rule of the CLI's and the library's default: nodes placed by
+        # their distance from p_max sit where their weights assume, so the
+        # density is exact to rounding (nodes p = mid + half x, rounded next
+        # to p_max, put it off by 1e-13 at L = 75 and 5e-11 at L = 800)
+        cfg = barrier(width)
+        eng = PacketIntegrator(SPEC, cfg, nodes=nodes)
+        want = long_double_rule_density(eng, cfg, width, t)
+        assert abs(float(eng.density(width, t)[0]) - want) <= 1e-14 * want
+
     def test_nan_density_never_converges(self, monkeypatch):
         # a NaN probe density fails every comparison, so the gate splits up
         # to the ceiling and raises instead of keeping a rule
@@ -802,11 +868,12 @@ class TestConvergence:
             converged_integrator(SPEC, barrier(10.0), z=10.0, t=2.0, tol=1e-8)
 
     def test_ceiling_exhausted_raises_with_estimate(self, monkeypatch):
-        # tol 1e-14 sits above the probe's rounding floor, but at L = 100 the
-        # kept rule (the graded rule of 2048 nodes, 2688, split: 5376) and
-        # its merged rule differ by 2e-13, and its split (10752) by 1.2e-14,
-        # so a 16384-node ceiling runs out before two rules agree; the
-        # estimate is the largest rule's density
+        # a detector 2e4 behind an L = 10 barrier, at the transmitted peak:
+        # the phase p z - E t varies by 8e3 rad across the window, more than
+        # the kept rule (the graded rule of 2048 nodes, 2304, split: 4608)
+        # resolves; it and its merged rule differ by 9e-2, and its split
+        # (9216) by 2e-4, so a 16384-node ceiling runs out before two rules
+        # agree to 1e-8; the estimate is the largest rule's density
         built = []
         real = wavepacket.PacketIntegrator
 
@@ -818,10 +885,10 @@ class TestConvergence:
         monkeypatch.setattr(wavepacket, "PacketIntegrator", spy)
         monkeypatch.setattr(wavepacket, "MAX_NODES", 16384)
         message = (
-            "did not stabilize to 1e-14: the largest rule compared has 10752 "
+            "did not stabilize to 1e-08: the largest rule compared has 9216 "
             "nodes, and its split would exceed the ceiling of 16384"
         )
         with pytest.raises(ConvergenceError, match=message) as excinfo:
-            converged_integrator(SPEC, barrier(100.0), z=100.0, t=36.25, tol=1e-14)
-        assert built == [5376, 2688, 10752]
-        assert excinfo.value.estimate == pytest.approx(3.6280141838698435e-26, rel=1e-6)
+            converged_integrator(SPEC, barrier(10.0), z=2e4, t=28850.0, tol=1e-8)
+        assert built == [4608, 2304, 9216]
+        assert excinfo.value.estimate == pytest.approx(9.253958966340905e-11, rel=1e-6)
