@@ -15,20 +15,16 @@ moments
 
 together with their wide-barrier limit n! / width^(n + 1).  The density
 envelope P(t) = X(t)^2 + Y(t)^2, with X quadratic and Y linear in t, is a
-quartic whose one local maximum is a root of the cubic dP/dt.  Stationarity
-of its quadratic truncation gives the peak emergence time in closed form,
-and with it the effective tunneling velocity, which saturates at 9/2 for
-tall barriers: the origin of the superluminal transit predictions exercised
-in :mod:`dirac_tunnel.transit`.
+quartic.  Stationarity of its quadratic truncation gives the peak emergence
+time in closed form, and with it the effective tunneling velocity, which
+saturates at 9/2 for tall barriers: the origin of the superluminal transit
+predictions exercised in :mod:`dirac_tunnel.transit`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from numpy.polynomial import Polynomial
 
 from .kinematics import BarrierConfig, momentum_window
 
@@ -37,10 +33,8 @@ __all__ = [
     "OpaqueSolution",
     "series_coefficients",
     "moment_s",
-    "peak_functional",
     "opaque_tunneling_time",
     "opaque_tunneling_velocity",
-    "maximize_peak_functional",
 ]
 
 _MODES = ("exact", "asymptotic")
@@ -114,53 +108,6 @@ def moment_s(n: int, width: float, mass: float = 1.0, mode: str = "exact") -> fl
     return head / width ** (n + 1)
 
 
-def _moments(width, coeffs, mode):
-    return {n: moment_s(n, width, 1.0 / (2.0 * coeffs.a2), mode) for n in (2, 3, 4, 5, 6)}
-
-
-def _envelope(width, coeffs, mode):
-    """X and Y of the envelope P(t) = X(t)^2 + Y(t)^2, as polynomials in t."""
-    s = _moments(width, coeffs, mode)
-    a1, a2 = coeffs.a1, coeffs.a2
-    x = Polynomial([s[2] - a1 * a1 * s[4] / 2.0, a1 * a2 * s[5], -a2 * a2 * s[6] / 2.0])
-    y = Polynomial([-a1 * s[3], a2 * s[4]])
-    return x, y
-
-
-def peak_functional(
-    t,
-    width: float,
-    coeffs: SeriesCoefficients,
-    mode: str = "exact",
-):
-    """Density envelope of the emerging peak at the downstream face.
-
-    The transmitted amplitude expanded to second order around the window's
-    low-momentum end gives, up to a constant prefactor,
-
-        P(t) = | s2 - [(a2 t)^2 s6 + a1^2 s4] / 2 + a1 a2 t s5
-                 + i (a2 t s4 - a1 s3) |^2.
-
-    Scalar ``t`` in, numpy float out; arrays map elementwise.  The mass of
-    the moments is recovered from ``coeffs.a2 = 1 / (2 mass)``.  The
-    absolute scale is arbitrary; only the position of the maximum carries
-    physics.
-    """
-    x, y = _envelope(width, coeffs, mode)
-    t = np.asarray(t, dtype=float)
-    return (x(t) ** 2 + y(t) ** 2)[()]
-
-
-def _expansion_coefficients(width, coeffs, mode):
-    """(c1, c2) of P(t) ~ c0 + c1 t + c2 t^2, consistently quadratic in
-    the small parameters a1 and a2 t."""
-    s = _moments(width, coeffs, mode)
-    a1, a2 = coeffs.a1, coeffs.a2
-    c1 = 2.0 * a1 * a2 * (s[2] * s[5] - s[3] * s[4])
-    c2 = a2 * a2 * (s[4] * s[4] - s[2] * s[6])
-    return c1, c2
-
-
 def opaque_tunneling_time(
     width: float,
     coeffs: SeriesCoefficients,
@@ -175,9 +122,13 @@ def opaque_tunneling_time(
     recovered from ``a2 = 1 / (2 mass)``), shifting tau by a relative
     O(exp(-mass * width)) amount.  :func:`moment_s` validates ``mode``.
     """
-    c1, c2 = _expansion_coefficients(width, coeffs, mode)
-    tau = -c1 / (2.0 * c2)
-    return OpaqueSolution(tau=tau, v=9.0 * coeffs.a2 / coeffs.a1)
+    # P = X^2 + Y^2 with X = s2 - ((a2 t)^2 s6 + a1^2 s4) / 2 + a1 a2 t s5 and
+    # Y = a2 t s4 - a1 s3, to second order in a1 and a2 t: c0 + c1 t + c2 t^2
+    s = {n: moment_s(n, width, 1.0 / (2.0 * coeffs.a2), mode) for n in (2, 3, 4, 5, 6)}
+    a1, a2 = coeffs.a1, coeffs.a2
+    c1 = 2.0 * a1 * a2 * (s[2] * s[5] - s[3] * s[4])
+    c2 = a2 * a2 * (s[4] * s[4] - s[2] * s[6])
+    return OpaqueSolution(tau=-c1 / (2.0 * c2), v=9.0 * a2 / a1)
 
 
 def opaque_tunneling_velocity(cfg: BarrierConfig) -> float:
@@ -187,34 +138,3 @@ def opaque_tunneling_velocity(cfg: BarrierConfig) -> float:
     barrier this library covers, and saturates at 9/2 for v0 >> mass.
     """
     return 4.5 * math.sqrt(cfg.v0 / (cfg.v0 + 2.0 * cfg.mass))
-
-
-def maximize_peak_functional(
-    width: float,
-    coeffs: SeriesCoefficients,
-    mode: str = "exact",
-    bracket: tuple[float, float] | None = None,
-) -> float:
-    """Maximum of the full peak functional, the root of the cubic dP/dt at
-    which d^2P/dt^2 < 0 (the quartic P has at most one).
-
-    Raises ``ValueError`` when P has no local maximum or when it lies outside
-    ``bracket``.  The default bracket [0, 10 a1 width / (9 a2)] spans ten
-    times the stationary-point prediction.  Agreement with
-    :func:`opaque_tunneling_time` is up to the higher-order terms the
-    quadratic expansion drops, a relative O((a1 / width)^2).
-    """
-    if bracket is None:
-        bracket = (0.0, 10.0 * coeffs.a1 * width / (9.0 * coeffs.a2))
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not hi > lo:
-        raise ValueError(f"empty bracket {bracket}")
-    x, y = _envelope(width, coeffs, mode)
-    slope = (x * x + y * y).deriv()
-    roots = slope.roots()
-    peaks = roots.real[(roots.imag == 0.0) & (slope.deriv()(roots.real) < 0.0)]
-    if peaks.size == 0:
-        raise ValueError(f"the peak functional has no maximum at width {width}")
-    if not lo <= peaks[0] <= hi:
-        raise ValueError(f"the maximum at t = {peaks[0]} lies outside {bracket}")
-    return float(peaks[0])

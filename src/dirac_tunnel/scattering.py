@@ -29,7 +29,6 @@ __all__ = [
     "MatchingSolution",
     "transmission_amplitude",
     "transmission_phase",
-    "opaque_transmission_magnitude",
     "solve_matching",
 ]
 
@@ -107,33 +106,24 @@ def transmission_phase(p, cfg: BarrierConfig):
     return np.arctan2(-im, re)[()]
 
 
-def opaque_transmission_magnitude(p, cfg: BarrierConfig):
-    """Opaque-barrier magnitude |t| ~ 2 p rho e^{-rho L} / (mass v0).
-
-    Exact up to relative corrections O(exp(-2 rho L)): the combination
-    p^2 rho^2 + (p^2 - v0 E)^2 equals (mass v0)^2 identically on the window.
-    Scalar in, numpy float out; arrays map elementwise.
-    """
-    p = np.asarray(p, dtype=float)
-    rho = evanescent_rho(p, cfg)
-    return (2.0 * p * rho * np.exp(-rho * cfg.width) / (cfg.mass * cfg.v0))[()]
-
-
 def solve_matching(p, cfg: BarrierConfig) -> MatchingSolution:
     """Match the piecewise solution at both faces of the barrier.
 
     Returns the full coefficient set for one momentum.  The interior
     coefficients are eliminated analytically: with
 
-        kappa_hat = -i p (E - v0 + mass) / (E + mass)
+        kappa_hat = -i p w_int / w_free,  w_int = E - v0 + mass,  w_free = E + mass,
 
     and x = rho L, the denominator with e^{x} divided out,
 
-        Dx = kappa_hat (1 + e^{-2x}) + (rho^2 + kappa_hat^2) (1 - e^{-2x}) / (2 rho),
+        Dx = kappa_hat (1 + e^{-2x}) + (rho^2 + kappa_hat^2) (1 - e^{-2x}) / (2 rho)
+           = -2i (w_int / w_free) e^{-x} D,
 
-    has a real and an imaginary part that never cancel, giving
+    is built from t(p)'s scaled denominator e^{-x} D of
+    :func:`_scaled_denominator`, whose real and imaginary parts never cancel.
+    So t is :func:`transmission_amplitude`'s, bit for bit, and
 
-        t = e^{-ipL} 2 kappa_hat e^{-x} / Dx,
+        t = e^{-ipL} 2 kappa_hat e^{-x} / Dx = p e^{-x} e^{-ipL} / (e^{-x} D),
         r = -e^{2ipa} (rho^2 - kappa_hat^2) (1 - e^{-2x}) / (2 rho Dx),
 
     exact for any opacity.  Interior coefficients are reconstructed from the
@@ -161,14 +151,14 @@ def solve_matching(p, cfg: BarrierConfig) -> MatchingSolution:
     kappa = k1 / k2
     kappa_hat = rho * kappa      # = -i p w_int / w_free, purely imaginary
 
-    x = rho * L
     phi_a = np.exp(1j * p * a)
     phi_b = np.exp(1j * p * (a + L))
 
-    decay = np.exp(-x)
-    lq = -np.expm1(-2.0 * x) / (2.0 * rho)  # L q(x); rho > 0 here
-    dhat = kappa_hat * (1.0 + decay * decay) + (rho * rho + kappa_hat * kappa_hat) * lq
-    t_c = np.exp(-1j * p * L) * 2.0 * kappa_hat * decay / dhat
+    decay, re, im = _scaled_denominator(p, rho, p * p - cfg.v0 * energy, L)
+    # L q(x), which r needs and im does not give where p^2 = v0 E; rho > 0 here
+    lq = -np.expm1(-2.0 * rho * L) / (2.0 * rho)
+    dhat = -2j * (w_int / w_free) * (re + 1j * im)
+    t_c = p * decay * np.exp(-1j * p * L) / (re + 1j * im)
     r_c = -np.exp(2j * p * a) * (rho * rho - kappa_hat * kappa_hat) * lq / dhat
 
     # Interior coefficients from the face values of the exterior solution.

@@ -560,7 +560,11 @@ def converged_integrator(
     floor is refused with a :class:`ConvergenceError` that names the floor
     and carries that density as its estimate: two rules that agree bit for
     bit do not count as converged to it.  A density of exactly 0 has no
-    relative floor and skips the check.
+    relative floor and skips the check.  The floor leaves out the rounding
+    of the phase arguments, which grows with |z| and |t|: at the transmitted
+    peak behind L = 10, (z, t) = (30010, 43278.75), it reads 4.3e-15, yet
+    resolved rules differ there by 1e-13 to 2.4e-12, so a ``tol`` of 1e-14
+    runs out of nodes instead of being refused up front.
     """
     cfg = _FREE if cfg is None else cfg
     rule = integrator

@@ -1,16 +1,13 @@
 import math
 
-import numpy as np
 import pytest
 
 from dirac_tunnel import (
     BarrierConfig,
     SeriesCoefficients,
-    maximize_peak_functional,
     moment_s,
     opaque_tunneling_time,
     opaque_tunneling_velocity,
-    peak_functional,
     series_coefficients,
 )
 
@@ -91,68 +88,6 @@ class TestMoments:
             moment_s(2, 10.0, mass=-1.0)
         with pytest.raises(ValueError):
             moment_s(2, 10.0, mode="quick")
-
-
-# Frozen values of the expanded envelope, canonical coefficients, exact mode.
-FUNCTIONAL_ORACLES = [
-    (5.0, 15.0, 3.4959996862959490794e-07),
-    (0.0, 15.0, 3.3936787328751991815e-07),
-    (20.0, 50.0, 2.5589713776858052665e-10),
-]
-
-
-def _envelope_parts(t, width, coeffs, mode):
-    # re-derived from the documented form: P = X^2 + Y^2 with
-    # X = s2 - ((a2 t)^2 s6 + a1^2 s4)/2 + a1 a2 t s5, Y = a2 t s4 - a1 s3
-    s = {n: moment_s(n, width, mode=mode) for n in (2, 3, 4, 5, 6)}
-    a1, a2 = coeffs.a1, coeffs.a2
-    x = s[2] - ((a2 * t) ** 2 * s[6] + a1 * a1 * s[4]) / 2.0 + a1 * a2 * t * s[5]
-    y = a2 * t * s[4] - a1 * s[3]
-    dx = -(a2 * a2) * t * s[6] + a1 * a2 * s[5]
-    dy = a2 * s[4]
-    return x, y, dx, dy
-
-
-class TestPeakFunctional:
-    @pytest.mark.parametrize("t,width,ref", FUNCTIONAL_ORACLES)
-    def test_frozen_values(self, t, width, ref):
-        assert peak_functional(t, width, CANON) == pytest.approx(ref, rel=1e-12)
-
-    def test_array_matches_scalars(self):
-        ts = np.array([0.0, 3.0, 6.0])
-        vals = peak_functional(ts, 15.0, CANON)
-        for t, v in zip(ts, vals):
-            assert v == peak_functional(float(t), 15.0, CANON)
-
-    @pytest.mark.parametrize("t,width", [(2.0, 15.0), (5.8, 15.0), (9.0, 15.0),
-                                         (10.0, 50.0), (19.2, 50.0)])
-    def test_numeric_derivative_matches_analytic(self, t, width):
-        x, y, dx, dy = _envelope_parts(t, width, CANON, "exact")
-        analytic = 2.0 * (x * dx + y * dy)
-        h = 1e-3 * max(1.0, abs(t))
-        stencil = (
-            -peak_functional(t + 2 * h, width, CANON)
-            + 8.0 * peak_functional(t + h, width, CANON)
-            - 8.0 * peak_functional(t - h, width, CANON)
-            + peak_functional(t - 2 * h, width, CANON)
-        ) / (12.0 * h)
-        assert stencil == pytest.approx(analytic, rel=1e-8)
-
-    def test_positive(self):
-        ts = np.linspace(0.0, 40.0, 200)
-        assert np.all(peak_functional(ts, 15.0, CANON) > 0.0)
-
-    def test_nonunit_mass_recovered_from_a2(self):
-        coeffs = series_coefficients(BarrierConfig(v0=4.0, width=1.0, mass=2.0))
-        ts = np.linspace(0.0, 20.0, 41)
-        # rebuild the functional with the mass spelled out explicitly
-        s = {n: moment_s(n, 30.0, mass=2.0) for n in (2, 3, 4, 5, 6)}
-        a1, a2 = coeffs.a1, coeffs.a2
-        real = s[2] - ((a2 * ts) ** 2 * s[6] + a1 * a1 * s[4]) / 2.0 + a1 * a2 * ts * s[5]
-        imag = a2 * ts * s[4] - a1 * s[3]
-        np.testing.assert_allclose(
-            peak_functional(ts, 30.0, coeffs), real * real + imag * imag, rtol=1e-13
-        )
 
 
 def _quadratic_tau(width, coeffs, mode):
@@ -255,61 +190,3 @@ class TestOpaqueVelocity:
             assert v > 1.0
         floor = opaque_tunneling_velocity(BarrierConfig(v0=1.0, width=1.0))
         assert floor == pytest.approx(4.5 * math.sqrt(1.0 / 3.0), rel=1e-14)
-
-
-class TestMaximize:
-    # near the flat maximum the functional varies only at rounding level
-    # over a ~1e-6 wide plateau, which caps the reproducible precision
-
-    def test_frozen_argmax(self):
-        assert maximize_peak_functional(50.0, CANON) == pytest.approx(
-            19.21490889352755, rel=1e-6
-        )
-        assert maximize_peak_functional(100.0, CANON) == pytest.approx(
-            38.47503193292482, rel=1e-6
-        )
-
-    def test_agrees_with_stationary_point_to_expansion_order(self):
-        for width in (25.0, 50.0, 100.0):
-            argmax = maximize_peak_functional(width, CANON)
-            tau = opaque_tunneling_time(width, CANON, mode="exact").tau
-            assert abs(argmax - tau) / tau <= 3.0 * (CANON.a1 / width) ** 2
-
-    def test_respects_custom_bracket(self):
-        tau = maximize_peak_functional(50.0, CANON, bracket=(10.0, 30.0))
-        assert tau == pytest.approx(19.21490889352755, rel=1e-6)
-
-    def test_empty_bracket_raises(self):
-        with pytest.raises(ValueError):
-            maximize_peak_functional(50.0, CANON, bracket=(1.0, 1.0))
-
-
-def _slope(t, width, mode):
-    x, y, dx, dy = _envelope_parts(t, width, CANON, mode)
-    return 2.0 * (x * dx + y * dy)
-
-
-class TestMaximizerIsExact:
-    # P is a quartic in t, so its maximum is a root of the cubic dP/dt
-
-    @pytest.mark.parametrize("mode", ["exact", "asymptotic"])
-    @pytest.mark.parametrize("width", [6.0, 8.0, 10.0, 12.0, 15.0, 20.0, 25.0, 50.0, 100.0])
-    def test_root_of_the_slope_with_a_falling_sign(self, width, mode):
-        t = maximize_peak_functional(width, CANON, mode=mode)
-        beside = _slope(1.01 * t, width, mode)
-        assert abs(_slope(t, width, mode)) <= 1e-9 * abs(beside)
-        assert _slope(0.99 * t, width, mode) > 0.0
-        assert beside < 0.0
-
-    def test_thin_widths_find_the_local_maximum(self):
-        assert maximize_peak_functional(8.0, CANON) == pytest.approx(3.43287, abs=1e-5)
-        assert maximize_peak_functional(10.0, CANON) == pytest.approx(3.99606, abs=1e-5)
-
-    @pytest.mark.parametrize("width", [2.0, 4.0])
-    def test_no_local_maximum_raises(self, width):
-        with pytest.raises(ValueError):
-            maximize_peak_functional(width, CANON)
-
-    def test_maximum_outside_bracket_raises(self):
-        with pytest.raises(ValueError):
-            maximize_peak_functional(50.0, CANON, bracket=(0.0, 5.0))
