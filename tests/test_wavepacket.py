@@ -796,6 +796,46 @@ class TestFilterStats:
             filter_stats(narrow, barrier(400.0))
 
 
+class TestSubWindowPacket:
+    """A packet on a window strictly inside the barrier's, where rho on the rule's nodes comes
+    from p, not from their distance to p_max: the packet density and the filter statistics
+    against a direct sum on 256 Gauss-Legendre panels of t(p) and of (g_T, f_T)."""
+
+    WINDOWS = pytest.mark.parametrize("window", [(0.3, 1.5), (0.0, 1.2)], ids=str)
+
+    @staticmethod
+    def packet(window):
+        lo, hi = window
+        spec = PacketSpec(p0=0.5 * (lo + hi), d=D_WIDTH, p_min=lo, p_max=hi)
+        x, w = np.polynomial.legendre.leggauss(64)
+        edges = np.linspace(lo, hi, 257)
+        half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
+        return spec, (mid[:, None] + np.outer(half, x)).ravel(), np.outer(half, w).ravel()
+
+    @WINDOWS
+    def test_density(self, window):
+        spec, p, w = self.packet(window)
+        cfg, ts = barrier(10.0), np.array([-5.0, 2.0, 8.0])
+        energy = total_energy(p)
+        coef = w * momentum_weight(p, spec) * transmission_amplitude(p, cfg)
+        phase = np.exp(1j * (10.0 * p[:, None] - np.outer(energy, ts)))
+        g, f = coef @ phase, (coef * p / (energy + 1.0)) @ phase
+        want = (2.0 * total_energy(spec.p0)) ** 2 * (np.abs(g) ** 2 + np.abs(f) ** 2)
+        got = PacketIntegrator(spec, cfg, nodes=512).density(10.0, ts)
+        assert np.max(np.abs(got / want - 1.0)) <= 2e-14
+
+    @WINDOWS
+    @pytest.mark.parametrize("width", [0.0, 10.0])
+    def test_filter_stats(self, window, width):
+        spec, p, w = self.packet(window)
+        g_t, f_t = filtered_distributions(p, spec, barrier(width))
+        weight = g_t * g_t + f_t * f_t
+        total = np.sum(w * weight)
+        stats = filter_stats(spec, barrier(width))
+        assert stats.transmitted_weight == pytest.approx(total, rel=2e-15)
+        assert stats.p_mean == pytest.approx(np.sum(w * p * weight) / total, rel=2e-15)
+
+
 class TestTransmittedDensity:
     def test_round_trip(self):
         cfg = barrier(10.0)
