@@ -68,7 +68,7 @@ from .transit import (
 from .wavepacket import (
     MAX_NODES,
     PacketSpec,
-    _Filter,
+    _Nodes,
     filter_stats,
     filtered_distributions,
     momentum_weight,
@@ -380,25 +380,20 @@ def _filter(config, emitter, spec, scan):
     p_axis = np.linspace(spec.p_min, spec.p_max, config.numerics.curve_samples)
     # the same in every width's file: their cells built once per run, as one block
     shared = np.hstack([_cells(p_axis), _cells(momentum_weight(p_axis, spec))])
-    curve, stats_at = _Filter(spec, _barrier(config, 0.0), p_axis), _stats_at(config, spec)
-    stats_rows = []
+    curve, stats_rows = _Nodes(spec, _barrier(config, 0.0), p_axis), []
     for width in config.geometry.widths:
         cfg = _barrier(config, width)
         g_t, f_t = filtered_distributions(p_axis, spec, cfg, _filter=curve)
         name = f"filter_L{_width_tag(width)}.csv"
         emitter.table(name, ["p", "weight", "g_t", "f_t"], [shared, g_t, f_t], width)
-        s = emitter.item("filter_stats L=%.17g" % width, stats_at, cfg)
+        s = emitter.item(
+            "filter_stats L=%.17g" % width, filter_stats, spec, cfg, nodes=config.numerics.nodes
+        )
         if s is not None:
             ratio = s.p_mean / (s.e_mean + config.physics.mass)
             stats_rows.append((width, s.p_mean, s.e_mean, s.v_out, s.transmitted_weight, ratio))
     stats_header = ["L", "p_mean", "e_mean", "v_out", "transmitted_weight", "component_ratio"]
     emitter.table("filter_stats.csv", stats_header, zip(*stats_rows))
-
-
-def _stats_at(config, spec):
-    """``filter_stats`` of the run by width, on the rule's uniform panels built once."""
-    uniform = _Filter(spec, _barrier(config, 0.0), nodes=config.numerics.nodes)
-    return partial(filter_stats, spec, nodes=config.numerics.nodes, _uniform=uniform)
 
 
 def _peaks(config, emitter, spec, scan, curves=False):
@@ -446,13 +441,13 @@ def _transit(config, emitter, spec, scan):
     if not config.geometry.detectors:
         return
     v_closed = opaque_tunneling_velocity(_barrier(config, 0.0))
-    stats_at, stats_of = _stats_at(config, spec), {}  # filter statistics per width
+    stats_of = {}  # filter statistics per width
 
     def measure(detector, width):
         cfg = _barrier(config, width)
         report = transit_measure(detector, spec, cfg, **scan)
         if width not in stats_of:
-            stats_of[width] = stats_at(cfg)
+            stats_of[width] = filter_stats(spec, cfg, nodes=config.numerics.nodes)
         stats = stats_of[width]
         predicted = transit_time_predicted(detector, width, v_closed, stats.v_out)
         bound = superluminal_detector_bound(v_closed, stats.v_out, width)

@@ -30,7 +30,8 @@ panel beyond the first.  The packet densities and the filter statistics
 are integrated on this one rule, in edge coordinates (Higham 2002, ch.
 1-3): edges and nodes are distances ``u = p_max - p``, the graded edges
 exact, and ``s = E(p_max) - E`` and rho follow from u without cancellation
-(:func:`_edge_nodes`), so a node in the layer sits where its weight assumes.
+(``_Nodes``, the one table of per-node factors the packet coefficients and
+the filter share), so a node in the layer sits where its weight assumes.
 
 A curve is the sum over the N nodes of the coefficients times the phase
 ``exp(i p z - i E t)`` at each of its K points.  On an evenly spaced grid
@@ -190,16 +191,40 @@ def _gauss_panels(edges: np.ndarray):
     return x, np.outer(np.abs(half), _PANEL_WEIGHTS).ravel()
 
 
-def _edge_nodes(spec: PacketSpec, cfg: BarrierConfig, u, need_rho: bool = True):
-    """p = p_max - u, E, s = E(p_max) - E = u (p_max + p) / (E(p_max) + E) and rho at u: sqrt(s (2m
-    - s)) on a spec in ``cfg``'s window up to its edge (E = v0 + m), else from p if ``need_rho``."""
-    p = spec.p_max - u
-    energy = total_energy(p, cfg.mass)
-    s = u * (spec.p_max + p) / (total_energy(spec.p_max, cfg.mass) + energy)
-    lo, hi = momentum_window(cfg)
-    if spec.p_max == hi and spec.p_min >= lo:
-        return p, energy, s, np.sqrt(s * (2.0 * cfg.mass - s))
-    return p, energy, s, evanescent_rho(p, cfg) if need_rho else None
+class _Nodes:
+    """The factors of a packet's coefficients and of its filter that no width changes, for a
+    packet and a barrier's v0 and mass: p, E, s = E(p_max) - E, rho, beta = p^2 - v0 E, the
+    weight g and E + m.
+
+    On a caller's momenta ``p``, rho is :func:`evanescent_rho`'s, which refuses a momentum off
+    the barrier's window, and s is not taken.  On a rule's distances ``u`` from p_max,
+    ``p = p_max - u`` and ``s = u (p_max + p) / (E(p_max) + E)``; rho = sqrt(s (2m - s)) then
+    follows from u without cancellation on a packet in the barrier's window up to its edge
+    (E = v0 + m), else from p, and at width 0, where no t(p) is taken, not at all.
+    """
+
+    def __init__(self, spec: PacketSpec, cfg: BarrierConfig, p=None, *, u=None):
+        p = np.asarray(p, dtype=float) if u is None else spec.p_max - u
+        energy = total_energy(p, cfg.mass)
+        self.s = self.rho = None
+        if u is not None:
+            self.s = u * (spec.p_max + p) / (total_energy(spec.p_max, cfg.mass) + energy)
+            lo, hi = momentum_window(cfg)
+            if spec.p_max == hi and spec.p_min >= lo:
+                self.rho = np.sqrt(self.s * (2.0 * cfg.mass - self.s))
+        if self.rho is None and (u is None or cfg.width):
+            self.rho = evanescent_rho(p, cfg)
+        self.p, self.energy, self.beta = p, energy, p * p - cfg.v0 * energy
+        self.g, self.e_m = momentum_weight(p, spec), energy + cfg.mass
+        self.key = (spec, cfg.v0, cfg.mass)
+
+    def filtered(self, width: float):
+        """(g_T, f_T) at ``width``, |t| = p e^{-rho L} / |e^{-rho L} D| in real arithmetic, 1 at 0."""
+        g_t = self.g
+        if width:
+            decay, re, im = _scaled_denominator(self.p, self.rho, self.beta, width)
+            g_t = g_t * (self.p * decay / np.hypot(re, im))
+        return g_t, g_t * self.p / self.e_m
 
 
 def _fine_block(axis: np.ndarray) -> tuple[float, int]:
@@ -266,7 +291,9 @@ class PacketIntegrator:
 
     The node table (momenta, energies, weighted coefficients) is built once
     and never mutated, so a single instance can be shared freely.  The
-    coefficients include the transmitted amplitude of ``cfg``; ``cfg=None``
+    coefficients are taken from the rule's node factors (``_Nodes``, as the
+    filter statistics take theirs) and include the transmitted amplitude
+    of ``cfg``; ``cfg=None``
     is the barrier of width 0 at unit mass, where t(p) = 1: the free
     (incident) packet.
 
@@ -289,21 +316,21 @@ class PacketIntegrator:
         # the gate's split and merged rules pass their panels instead
         self._edges = _graded_edges(spec, cfg, nodes) if _edges is None else _edges
         u, w = _gauss_panels(self._edges)
-        p, self.energy, s, rho = _edge_nodes(spec, cfg, u, need_rho=cfg.width > 0.0)
-        self.p, self.nodes = p, p.size
-        coef = w * momentum_weight(p, spec)
+        n = _Nodes(spec, cfg, u=u)
+        self.p, self.energy, self.nodes = n.p, n.energy, n.p.size
+        coef = w * n.g
         if cfg.width:
             # t(p) without its phase e^{-i p_max L}, common to every node
-            decay, re, im = _scaled_denominator(p, rho, p * p - cfg.v0 * self.energy, cfg.width)
-            coef = coef * (p * decay * np.exp(1j * u * cfg.width) / (re + 1j * im))
+            decay, re, im = _scaled_denominator(n.p, n.rho, n.beta, cfg.width)
+            coef = coef * (n.p * decay * np.exp(1j * u * cfg.width) / (re + 1j * im))
         # Constant amplitude normalization, see the module docstring.
         self._scale = 2.0 * float(total_energy(spec.p0, cfg.mass))
         # the two coefficient rows c0 (large component) and c2 (small)
-        self._coef = np.stack((coef, coef * (p / (self.energy + cfg.mass))))
+        self._coef = np.stack((coef, coef * (n.p / n.e_m)))
         # the rates from the phase origin of every sum, the |c|-weighted centre (u_c, s_c);
         # the series' unit of time, the power of two at or below its reach (1 with no rate)
         weight = np.abs(coef) / (np.sum(np.abs(coef)) or 1.0)
-        self._wave, self._rate = weight @ u - u, weight @ s - s
+        self._wave, self._rate = weight @ u - u, weight @ n.s - n.s
         top = np.max(np.abs(self._rate))
         self._unit = math.ldexp(1.0, math.frexp(_TAYLOR_REACH / top)[1] - 1) if top else 1.0
 
@@ -451,62 +478,35 @@ def transmitted_density(
     return PacketIntegrator(spec, cfg, nodes=nodes).density(z, t_axis)
 
 
-class _Filter:
-    """g, rho, ``p^2 - v0 E`` and ``E + m``, the factors of (g_T, f_T) that no width changes, for
-    a packet and a barrier's v0 and mass: on momenta ``p``, or as :func:`_edge_nodes` reads them
-    at distances ``u`` from p_max, given or of the first ``nodes // 64 - 1`` panels of that rule."""
-
-    def __init__(self, spec: PacketSpec, cfg: BarrierConfig, p=None, nodes=None, *, u=None):
-        if p is None:
-            if u is None:
-                u = _gauss_panels(_graded_edges(spec, cfg, nodes)[: nodes // _PANEL])[0]
-            p, energy, _, self.rho = _edge_nodes(spec, cfg, u)
-        else:
-            p = np.asarray(p, dtype=float)
-            energy, self.rho = total_energy(p, cfg.mass), evanescent_rho(p, cfg)
-        self.p, self.beta = p, p * p - cfg.v0 * energy
-        self.g, self.e_m = momentum_weight(p, spec), energy + cfg.mass
-        self.key = (spec, cfg.v0, cfg.mass)
-
-    def __call__(self, spec: PacketSpec, cfg: BarrierConfig, p):
-        """(g_T, f_T) at ``cfg``'s width; ValueError if built for another packet, v0, mass or p."""
-        if self.key != (spec, cfg.v0, cfg.mass) or not np.array_equal(p, self.p):
-            raise ValueError("filter factors built for another packet, barrier or momenta")
-        decay, re, im = _scaled_denominator(self.p, self.rho, self.beta, cfg.width)
-        # |t| = p e^{-rho L} / |e^{-rho L} D| in real arithmetic; 1 at width 0 (0/0 at p = 0)
-        g_t = self.g * (self.p * decay / np.hypot(re, im) if cfg.width else 1.0)
-        return g_t, g_t * self.p / self.e_m
-
-
 def filtered_distributions(p, spec: PacketSpec, cfg: BarrierConfig, *, _filter=None):
     """Filtered momentum distributions (g_T, f_T) of the transmitted packet.
 
     ``g_T = g |t|`` weights the large component, ``f_T = g_T p / (E + m)``
     the small one; both use the bare (peak value 1) weight convention.  |t|
     is taken in real arithmetic, so every ``p`` must lie in the window, at
-    width 0 too.  ``_filter``, if given, is ``_Filter(spec, cfg, p)``.
+    width 0 too.  ``_filter``, if given, is ``_Nodes(spec, cfg, p)`` at any
+    width; factors of another packet, v0, mass or ``p`` raise ValueError.
     """
     p = np.asarray(p, dtype=float)
-    return (_filter or _Filter(spec, cfg, p))(spec, cfg, p)
+    table = _filter or _Nodes(spec, cfg, p)
+    if table.key != (spec, cfg.v0, cfg.mass) or not np.array_equal(p, table.p):
+        raise ValueError("filter factors built for another packet, barrier or momenta")
+    return table.filtered(cfg.width)
 
 
-def filter_stats(
-    spec: PacketSpec, cfg: BarrierConfig, nodes: int = 2048, *, _uniform=None
-) -> FilterStats:
+def filter_stats(spec: PacketSpec, cfg: BarrierConfig, nodes: int = 2048) -> FilterStats:
     """Mean momentum, energy and velocity of the transmitted distribution.
 
     Means are taken against the full spinor weight ``g_T^2 + f_T^2``, on
-    the graded rule of ``nodes`` (see the module docstring).  The
-    barrier suppresses low momenta exponentially harder than high ones, so
-    ``p_mean`` grows with the barrier width; for very wide barriers the
-    weight underflows entirely and the means become undefined, which raises
-    :class:`DegenerateWeightError`.  ``_uniform``, if given, is the
-    ``_filter`` of all panels but the last: ``_Filter(spec, cfg, nodes=nodes)``.
+    the graded rule of ``nodes`` (see the module docstring), its node
+    factors built in one pass.  The barrier suppresses low momenta
+    exponentially harder than high ones, so ``p_mean`` grows with the
+    barrier width; for very wide barriers the weight underflows entirely and
+    the means become undefined, which raises :class:`DegenerateWeightError`.
     """
     u, w = _gauss_panels(_graded_edges(spec, cfg, nodes))
-    p, n = spec.p_max - u, nodes - _PANEL
-    head = (_uniform or _Filter(spec, cfg, u=u[:n]))(spec, cfg, p[:n])
-    g_t, f_t = np.hstack((head, _Filter(spec, cfg, u=u[n:])(spec, cfg, p[n:])))
+    table = _Nodes(spec, cfg, u=u)
+    g_t, f_t = table.filtered(cfg.width)
     weight = g_t * g_t + f_t * f_t
     total = float(np.sum(w * weight))
     if not np.isfinite(total) or total <= 0.0:
@@ -514,7 +514,7 @@ def filter_stats(
             f"transmitted weight underflows for width={cfg.width}; "
             "filter statistics are undefined"
         )
-    p_mean = float(np.sum(w * p * weight) / total)
+    p_mean = float(np.sum(w * table.p * weight) / total)
     e_mean = float(total_energy(p_mean, cfg.mass))
     return FilterStats(
         p_mean=p_mean,

@@ -17,6 +17,7 @@ from dirac_tunnel import (
     PacketSpec,
     converged_integrator,
     evanescent_rho,
+    filter_stats,
     group_velocity,
     momentum_weight,
     numeric_tunneling_time,
@@ -58,6 +59,10 @@ REMOVED = [
     "peak_functional",
     "maximize_peak_functional",
     "opaque_transmission_magnitude",
+    # one table of node factors (wavepacket._Nodes) serves the packet and the filter
+    "_stats_at",
+    "_edge_nodes",
+    "_Filter",
 ]
 
 
@@ -125,6 +130,8 @@ def test_removed_knobs_are_gone():
     assert "max_nodes" not in inspect.signature(converged_integrator).parameters
     # the Taylor series in time has one length, for refinement and density_dt alike
     assert "terms" not in inspect.signature(PacketIntegrator._taylor).parameters
+    # filter_stats builds the factors of its whole rule in one pass
+    assert "_uniform" not in inspect.signature(filter_stats).parameters
 
 
 # The benchmark's tracer (perfbench/tracer.py) replaces these names with

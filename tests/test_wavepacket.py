@@ -677,7 +677,7 @@ G_T_BOUNDS = {
 
 
 class TestFilterFactors:
-    """The factors of g_T and f_T built once (``_Filter``) against fresh calls."""
+    """The factors of g_T and f_T built once (``_Nodes``) against fresh calls."""
 
     @staticmethod
     def packet(v0):
@@ -687,26 +687,27 @@ class TestFilterFactors:
         return PacketSpec(p0=0.5 * (lo + hi), d=D_WIDTH, p_min=lo, p_max=hi), cfg
 
     @pytest.mark.parametrize("v0", [1.0, 2.0])
-    @pytest.mark.parametrize("nodes", [192, 4096])
-    def test_hoisting_is_exact(self, v0, nodes):
+    @pytest.mark.parametrize("samples", [192, 4096])
+    def test_hoisting_is_exact(self, v0, samples):
         spec, base = self.packet(v0)
-        p_axis = np.linspace(spec.p_min, spec.p_max, 2048)
-        curve = wavepacket._Filter(spec, base, p_axis)
-        uniform = wavepacket._Filter(spec, base, nodes=nodes)
+        p_axis = np.linspace(spec.p_min, spec.p_max, samples)
+        curve = wavepacket._Nodes(spec, base, p_axis)
         for width in (0.0, 0.5, 37.5, 100.0):
             cfg = BarrierConfig(v0=v0, width=width)
             hoisted = filtered_distributions(p_axis, spec, cfg, _filter=curve)
             fresh = filtered_distributions(p_axis, spec, cfg)
             assert all(np.array_equal(a, b) for a, b in zip(hoisted, fresh))
-            stats = filter_stats(spec, cfg, nodes=nodes, _uniform=uniform)
-            assert stats == filter_stats(spec, cfg, nodes=nodes)
 
     def test_factors_of_another_packet_barrier_or_rule_are_refused(self):
         spec, base = self.packet(1.0)
         cfg = barrier(10.0)
         p_axis = np.linspace(spec.p_min, spec.p_max, 64)
-        curve = wavepacket._Filter(spec, base, p_axis)
-        uniform = wavepacket._Filter(spec, base, nodes=192)
+        curve = wavepacket._Nodes(spec, base, p_axis)
+        # the factors on the nodes of a rule of 64 nodes, p = p_max - u
+        u = wavepacket._gauss_panels(np.array([spec.p_max - spec.p_min, 0.0]))[0]
+        rule = wavepacket._Nodes(spec, base, u=u)
+        with pytest.raises(ValueError, match="another packet"):
+            filtered_distributions(p_axis, spec, cfg, _filter=rule)
         wider = PacketSpec(p0=spec.p0, d=2.0 * spec.d, p_min=spec.p_min, p_max=spec.p_max)
         lighter = BarrierConfig(v0=1.0, width=10.0, mass=0.75)
         for other in (dict(spec=wider), dict(cfg=BarrierConfig(v0=1.5, width=10.0)),
@@ -714,17 +715,8 @@ class TestFilterFactors:
             args = dict(spec=spec, cfg=cfg) | other
             with pytest.raises(ValueError, match="another packet"):
                 filtered_distributions(p_axis, **args, _filter=curve)
-            with pytest.raises(ValueError, match="another packet"):
-                filter_stats(**args, nodes=192, _uniform=uniform)
         with pytest.raises(ValueError, match="another packet"):
             filtered_distributions(p_axis[::-1], spec, cfg, _filter=curve)
-        with pytest.raises(ValueError, match="another packet"):
-            filter_stats(spec, cfg, nodes=256, _uniform=uniform)
-        # the offset and the width do not enter the factors
-        moved = BarrierConfig(v0=1.0, width=20.0, offset=3.0)
-        assert filter_stats(spec, moved, nodes=192, _uniform=uniform) == filter_stats(
-            spec, moved, nodes=192
-        )
 
     @LONG_DOUBLE
     @pytest.mark.parametrize("axis", ["curve", "rule"])
@@ -740,7 +732,7 @@ class TestFilterFactors:
         else:
             u = wavepacket._gauss_panels(wavepacket._graded_edges(SPEC, cfg, 2048))[0]
             p = SPEC.p_max - u
-            g_t, _ = wavepacket._Filter(SPEC, cfg, u=u)(SPEC, cfg, p)
+            g_t, _ = wavepacket._Nodes(SPEC, cfg, u=u).filtered(width)
             want = long_double_g_t(p, cfg, u)
         assert max_relative_error(g_t, want) <= G_T_BOUNDS[axis][width]
 
