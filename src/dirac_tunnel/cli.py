@@ -69,6 +69,7 @@ from .wavepacket import (
     MAX_NODES,
     PacketSpec,
     _Nodes,
+    _PANEL,
     filter_stats,
     filtered_distributions,
     momentum_weight,
@@ -147,10 +148,10 @@ _KEYS = {
     ("geometry", "L"): ("widths", "10", _parse_float_list, bool, "must list a barrier width"),
     ("geometry", "D"): ("detectors", "", _parse_float_list),
     ("geometry", "offset"): ("offset", "0.0", _parse_float),
-    # whole 64-point panels, up to the gate's node ceiling
+    # whole Gauss-Legendre panels, up to the gate's node ceiling
     ("numerics", "nodes"): ("nodes", "512", _parse_int,
-                            lambda n: 64 <= n <= MAX_NODES and not n % 64,
-                            f"must be a multiple of 64 from 64 to {MAX_NODES}"),
+                            lambda n: _PANEL <= n <= MAX_NODES and not n % _PANEL,
+                            f"must be a multiple of {_PANEL} from {_PANEL} to {MAX_NODES}"),
     ("numerics", "tolerance"): ("tolerance", "1e-8", _parse_float,
                                 lambda x: 0.0 < x < 1.0, "must lie in (0, 1)"),
     ("numerics", "t_start"): ("t_start", "-100.0", _parse_float),

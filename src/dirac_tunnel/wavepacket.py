@@ -200,7 +200,8 @@ class _Nodes:
     the barrier's window, and s is not taken.  On a rule's distances ``u`` from p_max,
     ``p = p_max - u`` and ``s = u (p_max + p) / (E(p_max) + E)``; rho = sqrt(s (2m - s)) then
     follows from u without cancellation on a packet in the barrier's window up to its edge
-    (E = v0 + m), else from p, and at width 0, where no t(p) is taken, not at all.
+    (E = v0 + m), else from p, and at width 0, where no t(p) is taken, not at all.  The table
+    records no packet, barrier or momenta: a caller that reuses it passes the same ones.
     """
 
     def __init__(self, spec: PacketSpec, cfg: BarrierConfig, p=None, *, u=None):
@@ -216,7 +217,6 @@ class _Nodes:
             self.rho = evanescent_rho(p, cfg)
         self.p, self.energy, self.beta = p, energy, p * p - cfg.v0 * energy
         self.g, self.e_m = momentum_weight(p, spec), energy + cfg.mass
-        self.key = (spec, cfg.v0, cfg.mass)
 
     def filtered(self, width: float):
         """(g_T, f_T) at ``width``, |t| = p e^{-rho L} / |e^{-rho L} D| in real arithmetic, 1 at 0."""
@@ -484,14 +484,11 @@ def filtered_distributions(p, spec: PacketSpec, cfg: BarrierConfig, *, _filter=N
     ``g_T = g |t|`` weights the large component, ``f_T = g_T p / (E + m)``
     the small one; both use the bare (peak value 1) weight convention.  |t|
     is taken in real arithmetic, so every ``p`` must lie in the window, at
-    width 0 too.  ``_filter``, if given, is ``_Nodes(spec, cfg, p)`` at any
-    width; factors of another packet, v0, mass or ``p`` raise ValueError.
+    width 0 too.  ``_filter``, if given, stands for ``_Nodes(spec, cfg, p)``
+    built at any width of the same v0 and mass: the factors no width
+    changes, hoisted out of a loop over widths.
     """
-    p = np.asarray(p, dtype=float)
-    table = _filter or _Nodes(spec, cfg, p)
-    if table.key != (spec, cfg.v0, cfg.mass) or not np.array_equal(p, table.p):
-        raise ValueError("filter factors built for another packet, barrier or momenta")
-    return table.filtered(cfg.width)
+    return (_filter or _Nodes(spec, cfg, p)).filtered(cfg.width)
 
 
 def filter_stats(spec: PacketSpec, cfg: BarrierConfig, nodes: int = 2048) -> FilterStats:

@@ -28,6 +28,7 @@ from dirac_tunnel.wavepacket import (
     MAX_NODES,
     PacketIntegrator,
     PacketSpec,
+    _Nodes,
     filter_stats,
     filtered_distributions,
     momentum_weight,
@@ -529,6 +530,73 @@ class TestMainErrors:
     def test_unknown_cli_scenario_exits_nonzero(self, tmp_path, capsys):
         code = main(["run", "--scenario", "fig9", "--out", str(tmp_path)])
         assert code != 0
+
+    def test_empty_section_name_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "empty.cfg"
+        path.write_text("[]\nv0 = 1.0\n")
+        out = tmp_path / "out"
+        code = main(["run", "--scenario", "custom", "--out", str(out), "--config", str(path)])
+        assert code == 2
+        # the message alone: no traceback
+        assert capsys.readouterr().err == "error: line 1: empty section name\n"
+        assert not out.exists()
+
+    def test_detector_whose_p_max_product_overflows_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["run", "--scenario", "fig4_transit", "--out", str(out),
+                     "--set", "geometry.D=1.5e308"])
+        assert code == 2
+        message = "error: geometry.D: detector 1.5e+308: p_max |D| overflows\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+
+class TestNodeTables:
+    """The tables of node factors each default scenario builds, counted in process.
+
+    Per scenario: the packet rules (``PacketIntegrator``) and their nodes in
+    all, the tables on a curve's momenta (``fig1_filter``'s hoist, one per
+    run) and the filter statistics' rule tables.  The counts
+    are those of the 512-node default with no gate escalation, and are the
+    same under the SkylakeX, Sandybridge, Haswell, Nehalem and Prescott BLAS
+    kernels and on 1 or 2 BLAS threads.
+    """
+
+    EXPECTED = {
+        "fig1_filter": dict(integrators=0, integrator_nodes=0, momenta=1, filter_rules=5),
+        # per width: the kept rule, its merged rule and the curve's rule
+        "fig2_peaks": dict(integrators=15, integrator_nodes=12800, momenta=0, filter_rules=0),
+        "fig3_times": dict(integrators=50, integrator_nodes=43584, momenta=0, filter_rules=0),
+        "fig4_transit": dict(integrators=8, integrator_nodes=5376, momenta=0, filter_rules=4),
+        "table1": dict(integrators=18, integrator_nodes=14976, momenta=0, filter_rules=0),
+        "custom": dict(integrators=2, integrator_nodes=1344, momenta=1, filter_rules=1),
+    }
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_default_scenario_tables(self, tmp_path, monkeypatch, scenario):
+        counts = dict(integrators=0, integrator_nodes=0, momenta=0, filter_rules=0)
+        inside = []
+        integrator_init, nodes_init = PacketIntegrator.__init__, _Nodes.__init__
+
+        def integrator_spy(integrator, *args, **kwargs):
+            inside.append(True)
+            try:
+                integrator_init(integrator, *args, **kwargs)
+            finally:
+                inside.pop()
+            counts["integrators"] += 1
+            counts["integrator_nodes"] += integrator.nodes
+
+        def nodes_spy(table, spec, cfg, p=None, *, u=None):
+            nodes_init(table, spec, cfg, p, u=u)
+            # an integrator's own table is counted with the integrator
+            if not inside:
+                counts["momenta" if u is None else "filter_rules"] += 1
+
+        monkeypatch.setattr(PacketIntegrator, "__init__", integrator_spy)
+        monkeypatch.setattr(_Nodes, "__init__", nodes_spy)
+        assert main(["run", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+        assert counts == self.EXPECTED[scenario]
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,7 @@ from dirac_tunnel import (
     BarrierConfig,
     ConvergenceError,
     DegenerateWeightError,
+    EnergyZoneError,
     PacketIntegrator,
     PacketSpec,
     converged_integrator,
@@ -630,6 +631,15 @@ class TestFilteredDistributions:
             abs(transmission_amplitude(P0, cfg)), rel=1e-13
         )
 
+    @pytest.mark.parametrize("width", [0.0, 10.0])
+    @pytest.mark.parametrize("v0,p", [(1.0, 1.8), (2.0, 1.0), (2.0, 3.0)])
+    def test_momentum_off_the_window_is_refused(self, v0, p, width):
+        # above the window (diffusion zone) and, at v0 = 2, below it (Klein zone)
+        cfg = BarrierConfig(v0=v0, width=width)
+        spec = PacketSpec.for_barrier(cfg, p0=float(np.mean(momentum_window(cfg))), d=D_WIDTH)
+        with pytest.raises(EnergyZoneError, match="not in the Dirac tunneling window"):
+            filtered_distributions(np.array([p]), spec, cfg)
+
 
 def long_double_g_t(p, cfg, u=None):
     """g |t| on momenta ``p`` with |t| = p e^{-rho L} / |e^{-rho L} D| in np.longdouble.
@@ -697,26 +707,6 @@ class TestFilterFactors:
             hoisted = filtered_distributions(p_axis, spec, cfg, _filter=curve)
             fresh = filtered_distributions(p_axis, spec, cfg)
             assert all(np.array_equal(a, b) for a, b in zip(hoisted, fresh))
-
-    def test_factors_of_another_packet_barrier_or_rule_are_refused(self):
-        spec, base = self.packet(1.0)
-        cfg = barrier(10.0)
-        p_axis = np.linspace(spec.p_min, spec.p_max, 64)
-        curve = wavepacket._Nodes(spec, base, p_axis)
-        # the factors on the nodes of a rule of 64 nodes, p = p_max - u
-        u = wavepacket._gauss_panels(np.array([spec.p_max - spec.p_min, 0.0]))[0]
-        rule = wavepacket._Nodes(spec, base, u=u)
-        with pytest.raises(ValueError, match="another packet"):
-            filtered_distributions(p_axis, spec, cfg, _filter=rule)
-        wider = PacketSpec(p0=spec.p0, d=2.0 * spec.d, p_min=spec.p_min, p_max=spec.p_max)
-        lighter = BarrierConfig(v0=1.0, width=10.0, mass=0.75)
-        for other in (dict(spec=wider), dict(cfg=BarrierConfig(v0=1.5, width=10.0)),
-                      dict(cfg=lighter)):
-            args = dict(spec=spec, cfg=cfg) | other
-            with pytest.raises(ValueError, match="another packet"):
-                filtered_distributions(p_axis, **args, _filter=curve)
-        with pytest.raises(ValueError, match="another packet"):
-            filtered_distributions(p_axis[::-1], spec, cfg, _filter=curve)
 
     @LONG_DOUBLE
     @pytest.mark.parametrize("axis", ["curve", "rule"])
