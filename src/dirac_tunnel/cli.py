@@ -67,6 +67,7 @@ from .transit import (
 )
 from .wavepacket import (
     MAX_NODES,
+    NODES,
     PacketSpec,
     _Nodes,
     _PANEL,
@@ -149,7 +150,7 @@ _KEYS = {
     ("geometry", "D"): ("detectors", "", _parse_float_list),
     ("geometry", "offset"): ("offset", "0.0", _parse_float),
     # whole Gauss-Legendre panels, up to the gate's node ceiling
-    ("numerics", "nodes"): ("nodes", "512", _parse_int,
+    ("numerics", "nodes"): ("nodes", str(NODES), _parse_int,
                             lambda n: _PANEL <= n <= MAX_NODES and not n % _PANEL,
                             f"must be a multiple of {_PANEL} from {_PANEL} to {MAX_NODES}"),
     ("numerics", "tolerance"): ("tolerance", "1e-8", _parse_float,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import BarrierConfig
-from .wavepacket import PacketIntegrator, PacketSpec, converged_integrator
+from .wavepacket import NODES, PacketIntegrator, PacketSpec, converged_integrator
 
 __all__ = [
     "PeakKind",
@@ -103,7 +103,7 @@ def scan_peaks(
     cfg: BarrierConfig,
     *,
     step: float = 0.25,
-    nodes: int = 2048,
+    nodes: int = NODES,
     tol: float | None = None,
     min_density_ratio: float = 1e-6,
 ) -> list[PeakRecord]:
@@ -182,7 +182,7 @@ def numeric_tunneling_time(
     *,
     t_range: tuple[float, float] = (-100.0, 100.0),
     step: float = 0.25,
-    nodes: int = 2048,
+    nodes: int = NODES,
     tol: float | None = 1e-8,
 ) -> tuple[float, float]:
     """Emergence time of the central peak at the downstream face, and L/tau.
@@ -218,7 +218,7 @@ def transit_measure(
     *,
     t_range: tuple[float, float] = (-100.0, 200.0),
     step: float = 0.25,
-    nodes: int = 2048,
+    nodes: int = NODES,
     tol: float | None = 1e-8,
 ) -> TransitReport:
     """Measured arrival of the transmitted peak at a detector ``d``.

@@ -27,6 +27,7 @@ from dirac_tunnel import (
     transit_measure,
     transmission_amplitude,
     transmission_phase,
+    transmitted_density,
 )
 from dirac_tunnel import cli, transit
 from dirac_tunnel.kinematics import BarrierConfig
@@ -132,6 +133,24 @@ def test_removed_knobs_are_gone():
     assert "terms" not in inspect.signature(PacketIntegrator._taylor).parameters
     # filter_stats builds the factors of its whole rule in one pass
     assert "_uniform" not in inspect.signature(filter_stats).parameters
+
+
+# Every entry point that builds a rule of its own takes the CLI's default base;
+# only the gate's own start differs, 2048, whose split acceptance criterion 6 expects.
+RULE_BUILDERS = [
+    PacketIntegrator.__init__, transmitted_density, filter_stats, scan_peaks,
+    numeric_tunneling_time, transit_measure,
+]
+
+
+@pytest.mark.parametrize("fn", RULE_BUILDERS, ids=lambda fn: fn.__qualname__)
+def test_library_and_cli_share_one_default_rule_size(fn):
+    default = inspect.signature(fn).parameters["nodes"].default
+    assert default == int(cli._KEYS[("numerics", "nodes")][1])
+
+
+def test_the_gate_starts_from_its_own_default():
+    assert inspect.signature(converged_integrator).parameters["nodes"].default == 2048
 
 
 # The benchmark's tracer (perfbench/tracer.py) replaces these names with

@@ -261,11 +261,11 @@ class TestScanBehavior:
 
     @pytest.mark.parametrize("width, tol, grids", [(10.0, 1e-8, [2304]), (30.0, 1e-14, [2560])])
     def test_grid_is_evaluated_once_on_the_kept_rule(self, monkeypatch, width, tol, grids):
-        # A gated scan evaluates its grid on the graded rule of its 2048
-        # nodes (2304 and 2560 with the grading), and keeps it at the
+        # A gated scan on a base of 2048 evaluates its grid on that graded
+        # rule (2304 and 2560 nodes with the grading), and keeps it at the
         # downstream face: at L = 30 a 1e-14 gate too
         grid_nodes = self._spy_grids(monkeypatch)
-        scan_peaks(width, (-100.0, 100.0), SPEC, barrier(width), tol=tol)
+        scan_peaks(width, (-100.0, 100.0), SPEC, barrier(width), nodes=2048, tol=tol)
         assert grid_nodes == grids
 
     def test_an_escalating_gate_evaluates_the_grid_again(self, monkeypatch):
@@ -274,7 +274,7 @@ class TestScanBehavior:
         # split differ by 4e-4, so the gate escalates to 9216 nodes, and the
         # grid is evaluated a second time, on that rule only
         tables, grid_nodes = _spy_tables(monkeypatch), self._spy_grids(monkeypatch)
-        scan_peaks(1e4, (14365.0, 14465.0), SPEC, barrier(10.0), tol=1e-8)
+        scan_peaks(1e4, (14365.0, 14465.0), SPEC, barrier(10.0), nodes=2048, tol=1e-8)
         assert tables == [2304, 1152, 4608, 9216]
         assert grid_nodes == [2304, 9216]
 
@@ -290,7 +290,7 @@ class TestScanBehavior:
             return density(integrator, z, ts)
 
         monkeypatch.setattr(PacketIntegrator, "density", spy_density)
-        scan_peaks(10.0, (-100.0, 100.0), SPEC, barrier(10.0), tol=1e-8)
+        scan_peaks(10.0, (-100.0, 100.0), SPEC, barrier(10.0), nodes=2048, tol=1e-8)
         assert tables == [2304, 1152]
         assert grids == [2304]
 
@@ -411,7 +411,7 @@ class TestTunnelingTime:
         (400.0, 150.160548754), (800.0, 300.775142620), (1600.0, 601.776684300),
     ])
     def test_wide_barriers_without_escalation(self, monkeypatch, width, tau_ref):
-        # the graded rule of the default 2048 nodes resolves the window-edge
+        # the graded rule of the default base resolves the window-edge
         # layer (about 1/(c L)^2 wide) of a wide barrier: the gate keeps it
         # (one table and its merged rule) and tau matches the value three
         # independent graded rules agree on to 1.5e-8

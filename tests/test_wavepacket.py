@@ -872,7 +872,7 @@ class TestConvergence:
     @pytest.mark.parametrize("width, t", [(75.0, 26.5), (100.0, 36.25), (800.0, 300.75)])
     def test_probe_density_long_double(self, width, t, nodes):
         # the gate's probe, the grid maximum at the downstream face, on the
-        # graded rule of the CLI's and the library's default: nodes placed by
+        # graded rules of the default base and of the gate's start: nodes placed by
         # their distance from p_max sit where their weights assume, so the
         # density is exact to rounding (nodes p = mid + half x, rounded next
         # to p_max, put it off by 1e-13 at L = 75 and 5e-11 at L = 800)
