@@ -20,18 +20,23 @@ with ``c^2 = 2 m p_max / (v0 + m)``.  So the rule of ``nodes`` nodes is
 graded toward that edge, as hp-finite elements grade toward a boundary
 layer (Schwab 1998): of its ``nodes // 64`` uniform panels the last is
 split geometrically toward ``p_max``, the first piece ``0.25/(c L)^2`` wide
-and each next one twice as wide, the last taking the rest.  Width 0 keeps
-that panel whole; the free packet is the barrier of width 0 at unit mass,
-where t(p) = 1.  Either way the widest piece of the last panel is halved
-if the panel count would be odd, so every rule has an even panel count
-and merging its panels in pairs leaves none shared.  ``nodes`` is the
-rule's uniform base; its node count is larger by 64 per piece of the last
-panel beyond the first.  The packet densities and the filter statistics
-are integrated on this one rule, in edge coordinates (Higham 2002, ch.
-1-3): edges and nodes are distances ``u = p_max - p``, the graded edges
-exact, and ``s = E(p_max) - E`` and rho follow from u without cancellation
-(``_Nodes``, the one table of per-node factors the packet coefficients and
-the filter share), so a node in the layer sits where its weight assumes.
+and each next one 4 times as wide, the last taking the rest.  (A panel
+next to one R times narrower errs by about r^-128, with r = d + sqrt(d^2 -
+1) and d = (R + 1)/(R - 1) (Trefethen 2013, Thm 19.3): 4e-29 at the
+merged rule's ratio 16, but 1e-14 at 64.)  Width 0 keeps that panel whole;
+the free packet is the barrier of width 0 at unit mass, where t(p) = 1.
+Either way the widest piece of the last panel is halved if the panel count
+would be odd, so every rule has an even panel count and merging its panels
+in pairs leaves none shared.  ``nodes`` is the rule's uniform base; its
+node count is larger by 64 per piece of the last panel beyond the first:
+at v0 = m = 1 the base 512 has 768, 896 and 1152 nodes at L = 10, 100 and
+800, of which a packet sums its live panels, 768, 512 and 512.  The packet
+densities and the filter statistics are integrated on this one rule, in edge
+coordinates (Higham 2002, ch. 1-3): edges and nodes are distances
+``u = p_max - p``, the graded edges exact, and ``s = E(p_max) - E`` and rho
+follow from u without cancellation (``_Nodes``, the one table of per-node
+factors the packet coefficients and the filter share), so a node in the
+layer sits where its weight assumes.
 
 A curve is the sum over the N nodes of the coefficients times the phase
 ``exp(i p z - i E t)`` at each of its K points.  On an evenly spaced grid
@@ -85,12 +90,13 @@ _EVEN_ULPS = 4       # spacing error, in ulps of max|x|, of an evenly spaced axi
 NODES = 512          # default base of the graded rule, the library's and the CLI's
 # Node ceiling of the convergence gate's splits
 MAX_NODES = 65536
-# Terms and reach of the Taylor series of the amplitudes in time
+# Terms, reach and term factors (-i)^k / k! of the Taylor series of the amplitudes in time
 # (PacketIntegrator._taylor): while |E - E_c| |t - t0| <= 1/2, the first
 # dropped terms of the amplitude and of its time derivative, 0.5**16 / 16!
 # = 7e-19 and 0.5**15 / 15! = 2e-17, lie below eps = 2.2e-16 of sum |c|
 _TAYLOR_TERMS = 16
 _TAYLOR_REACH = 0.5
+_TAYLOR_FACTORS = np.array([(-1j) ** k / math.factorial(k) for k in range(_TAYLOR_TERMS)])
 # The free packet: at width 0 the coefficients take no t(p), so v0 does not enter
 _FREE = BarrierConfig(v0=1.0, width=0.0)
 
@@ -168,10 +174,10 @@ def _graded_edges(spec: PacketSpec, cfg: BarrierConfig, nodes: int) -> np.ndarra
         c2 = 2.0 * cfg.mass * spec.p_max / (cfg.v0 + cfg.mass)
         # no piece narrower than the spacing of floats at p_max
         first = max(0.25 / (c2 * cfg.width * cfg.width), np.finfo(float).eps * spec.p_max)
-        # from p_max: first, 2 first, ..., 2^(pieces-2) first, then the rest of
-        # the panel, at least 2^(pieces-1) first wide; one piece keeps it whole
-        pieces = max(1, int(math.log2(edges[-2] / first + 1.0)))
-        graded = np.append(first * (2.0 ** np.arange(pieces - 1, 0, -1) - 1.0), 0.0)
+        # from p_max: first, 4 first, ..., 4^(pieces-2) first, then the rest of
+        # the panel, at least 4^(pieces-1) first wide; one piece keeps it whole
+        pieces = max(1, int(math.log(3.0 * edges[-2] / first + 1.0, 4.0)))
+        graded = np.append(first * (4.0 ** np.arange(pieces - 1, 0, -1) - 1.0) / 3.0, 0.0)
     if (edges.size + graded.size) % 2:
         graded = np.insert(graded, 0, 0.5 * (edges[-2] + graded[0]))
     return np.concatenate((edges[:-1], graded))
@@ -294,15 +300,16 @@ class PacketIntegrator:
     and never mutated, so a single instance can be shared freely.  The
     coefficients are taken from the rule's node factors (``_Nodes``, as the
     filter statistics take theirs) and include the transmitted amplitude
-    of ``cfg``; ``cfg=None``
-    is the barrier of width 0 at unit mass, where t(p) = 1: the free
-    (incident) packet.
+    of ``cfg``; ``cfg=None`` is the barrier of width 0 at unit mass, where
+    t(p) = 1: the free (incident) packet.
 
     The rule is the graded rule of uniform base ``nodes``, a positive
-    multiple of 64 (see the module docstring); ``self.nodes`` holds its
-    node count.  Every evaluation returns arrays over its axis of times
-    or positions (a scalar axis is one point); ``density`` is the modulus
-    of ``amplitudes``.
+    multiple of 64 (see the module docstring); ``self.nodes`` counts its
+    nodes, and the tables (``p``, ``energy``, the coefficients) hold its live
+    panels, those whose sum |c| is above 2^-64 of the rule's (all if it is 0):
+    a dropped panel moves no sum by more than 5.4e-20 sum |c|.  Every
+    evaluation returns arrays over its axis of times or positions (a scalar
+    axis is one point); ``density`` is the modulus of ``amplitudes``.
     """
 
     def __init__(
@@ -318,20 +325,23 @@ class PacketIntegrator:
         self._edges = _graded_edges(spec, cfg, nodes) if _edges is None else _edges
         u, w = _gauss_panels(self._edges)
         n = _Nodes(spec, cfg, u=u)
-        self.p, self.energy, self.nodes = n.p, n.energy, n.p.size
         coef = w * n.g
         if cfg.width:
             # t(p) without its phase e^{-i p_max L}, common to every node
             decay, re, im = _scaled_denominator(n.p, n.rho, n.beta, cfg.width)
             coef = coef * (n.p * decay * np.exp(1j * u * cfg.width) / (re + 1j * im))
+        mass = np.abs(coef).reshape(-1, _PANEL).sum(axis=1)
+        live = np.repeat((mass > math.ldexp(mass.sum(), -64)) | (not mass.any()), _PANEL)
+        self.p, self.energy, self.nodes = n.p[live], n.energy[live], n.p.size
+        coef, u, s = coef[live], u[live], n.s[live]
         # Constant amplitude normalization, see the module docstring.
         self._scale = 2.0 * float(total_energy(spec.p0, cfg.mass))
         # the two coefficient rows c0 (large component) and c2 (small)
-        self._coef = np.stack((coef, coef * (n.p / n.e_m)))
+        self._coef = np.stack((coef, coef * (self.p / n.e_m[live])))
         # the rates from the phase origin of every sum, the |c|-weighted centre (u_c, s_c);
         # the series' unit of time, the power of two at or below its reach (1 with no rate)
         weight = np.abs(coef) / (np.sum(np.abs(coef)) or 1.0)
-        self._wave, self._rate = weight @ u - u, weight @ n.s - n.s
+        self._wave, self._rate = weight @ u - u, weight @ s - s
         top = np.max(np.abs(self._rate))
         self._unit = math.ldexp(1.0, math.frexp(_TAYLOR_REACH / top)[1] - 1) if top else 1.0
 
@@ -402,18 +412,18 @@ class PacketIntegrator:
         is ``M_k = sum_n c_n exp(i(_wave_n z - _rate_n t0)) (-i _rate_n
         _unit)^k / k!``, phases from the rule's origin, so the amplitudes at
         ``t0 + s _unit`` are ``exp(i(p_c z - E_c (t0 + s _unit) - p_max L))
-        sum_k M_k s^k``; that common phase drops out of |psi|^2 and its derivatives.  All
-        32 rows are summed in one :meth:`_sum_over_nodes`, a unit phase per
-        time.  As ``|_rate_n _unit| <= 1/2``, no term overflows at any mass,
-        and the sums are exact to below eps x sum |c| while ``|s| <= 1``.
+        sum_k M_k s^k``; that common phase drops out of |psi|^2 and its derivatives.  The
+        coefficients times a unit phase per time meet the real table ``(_rate_n _unit)^k`` in
+        one real matrix product, sum k taken times ``(-i)^k / k!``.  As ``|_rate_n _unit| <=
+        1/2``, no term overflows, and the sums are exact to below eps x sum |c| while |s| <= 1.
         """
-        rows = np.empty((_TAYLOR_TERMS,) + self._coef.shape, dtype=complex)
-        rows[0] = self._coef
-        rate = self._rate * self._unit
+        rate, powers = self._rate * self._unit, np.ones((_TAYLOR_TERMS, self.p.size))
         for k in range(1, _TAYLOR_TERMS):
-            rows[k] = rows[k - 1] * (-1j / k * rate)
-        sums = self._sum_over_nodes(rows.reshape(-1, self.nodes), -self._rate, t0s, self._wave * z)
-        return self._scale * sums.reshape(_TAYLOR_TERMS, 2, sums.shape[1])
+            np.multiply(powers[k - 1], rate, out=powers[k])
+        phase = _unit_phase(-self._rate, np.atleast_1d(t0s), self._wave * z)
+        phased = np.multiply(self._coef.T[:, :, None], phase[:, None], order="C")
+        sums = (powers @ phased.reshape(rate.size, -1).view(float)).view(complex)
+        return self._scale * _TAYLOR_FACTORS[:, None, None] * sums.reshape(_TAYLOR_TERMS, 2, -1)
 
     def _series_density(self, series, delta):
         """|psi|^2 and its first two time derivatives at offsets ``delta`` from the series' times.

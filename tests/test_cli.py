@@ -565,11 +565,11 @@ class TestNodeTables:
     EXPECTED = {
         "fig1_filter": dict(integrators=0, integrator_nodes=0, momenta=1, filter_rules=5),
         # per width: the kept rule, its merged rule and the curve's rule
-        "fig2_peaks": dict(integrators=15, integrator_nodes=12800, momenta=0, filter_rules=0),
-        "fig3_times": dict(integrators=50, integrator_nodes=43584, momenta=0, filter_rules=0),
-        "fig4_transit": dict(integrators=8, integrator_nodes=5376, momenta=0, filter_rules=4),
-        "table1": dict(integrators=18, integrator_nodes=14976, momenta=0, filter_rules=0),
-        "custom": dict(integrators=2, integrator_nodes=1344, momenta=1, filter_rules=1),
+        "fig2_peaks": dict(integrators=15, integrator_nodes=9600, momenta=0, filter_rules=0),
+        "fig3_times": dict(integrators=50, integrator_nodes=32064, momenta=0, filter_rules=0),
+        "fig4_transit": dict(integrators=8, integrator_nodes=4224, momenta=0, filter_rules=4),
+        "table1": dict(integrators=18, integrator_nodes=11136, momenta=0, filter_rules=0),
+        "custom": dict(integrators=2, integrator_nodes=1152, momenta=1, filter_rules=1),
     }
 
     @pytest.mark.parametrize("scenario", SCENARIOS)

@@ -259,10 +259,10 @@ class TestScanBehavior:
         monkeypatch.setattr(PacketIntegrator, "density", spy)
         return grid_nodes
 
-    @pytest.mark.parametrize("width, tol, grids", [(10.0, 1e-8, [2304]), (30.0, 1e-14, [2560])])
+    @pytest.mark.parametrize("width, tol, grids", [(10.0, 1e-8, [2176]), (30.0, 1e-14, [2304])])
     def test_grid_is_evaluated_once_on_the_kept_rule(self, monkeypatch, width, tol, grids):
         # A gated scan on a base of 2048 evaluates its grid on that graded
-        # rule (2304 and 2560 nodes with the grading), and keeps it at the
+        # rule (2176 and 2304 nodes with the grading), and keeps it at the
         # downstream face: at L = 30 a 1e-14 gate too
         grid_nodes = self._spy_grids(monkeypatch)
         scan_peaks(width, (-100.0, 100.0), SPEC, barrier(width), nodes=2048, tol=tol)
@@ -270,13 +270,13 @@ class TestScanBehavior:
 
     def test_an_escalating_gate_evaluates_the_grid_again(self, monkeypatch):
         # 1e4 behind an L = 10 barrier the phase p z - E t varies by 4e3 rad
-        # across the window: the graded rule of 2048 (2304 nodes) and its
-        # split differ by 4e-4, so the gate escalates to 9216 nodes, and the
+        # across the window: the graded rule of 2048 (2176 nodes) and its
+        # split differ by 4e-4, so the gate escalates to 8704 nodes, and the
         # grid is evaluated a second time, on that rule only
         tables, grid_nodes = _spy_tables(monkeypatch), self._spy_grids(monkeypatch)
         scan_peaks(1e4, (14365.0, 14465.0), SPEC, barrier(10.0), nodes=2048, tol=1e-8)
-        assert tables == [2304, 1152, 4608, 9216]
-        assert grid_nodes == [2304, 9216]
+        assert tables == [2176, 1088, 4352, 8704]
+        assert grid_nodes == [2176, 8704]
 
     def test_a_passed_check_builds_two_tables_and_one_grid(self, monkeypatch):
         # gated at 1e-8, the kept rule passes its check against its merged
@@ -291,8 +291,8 @@ class TestScanBehavior:
 
         monkeypatch.setattr(PacketIntegrator, "density", spy_density)
         scan_peaks(10.0, (-100.0, 100.0), SPEC, barrier(10.0), nodes=2048, tol=1e-8)
-        assert tables == [2304, 1152]
-        assert grids == [2304]
+        assert tables == [2176, 1088]
+        assert grids == [2176]
 
 
 LONG_DOUBLE = pytest.mark.skipif(

@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -614,6 +615,62 @@ class TestNodePolicy:
         assert built == []
 
 
+class TestDeadPanels:
+    """The integrator sums only the panels whose sum |c| is above 2^-64 of the rule's."""
+
+    @pytest.mark.parametrize("width, rule, live", [(10.0, 768, 768), (100.0, 896, 512),
+                                                   (800.0, 1152, 512)])
+    def test_wide_rules_sum_fewer_nodes(self, width, rule, live):
+        # nodes counts the whole rule, the gate's ceiling and merged rule with it;
+        # the tables hold the live panels only
+        eng = PacketIntegrator(SPEC, barrier(width))
+        assert eng.nodes == 64 * (eng._edges.size - 1) == rule
+        assert eng.p.size == eng.energy.size == eng._coef.shape[1] == eng._rate.size == live
+
+    @LONG_DOUBLE
+    @pytest.mark.parametrize(
+        "width, ts",
+        [(100.0, scan_grid((-100.0, 100.0), 0.25)), (800.0, scan_grid((100.0, 300.0), 0.25))],
+        ids=["L100", "L800"],
+    )
+    def test_density_against_every_node_in_long_double(self, width, ts):
+        # the default 801-point scan grid at the downstream face against a
+        # long-double sum over every node of the rule: the live nodes' own
+        # table, and on the dropped panels w g t(p) e^{i p_max L} from
+        # momentum_weight and transmission_amplitude (t(p) from p loses
+        # digits next to p_max, so the live nodes keep the table's values;
+        # the dropped ones weigh too little for that to show)
+        cfg = barrier(width)
+        eng = PacketIntegrator(SPEC, cfg)
+        u, w = wavepacket._gauss_panels(eng._edges)
+        p = SPEC.p_max - u
+        dead = ~np.isin(p, eng.p)
+        assert np.count_nonzero(dead) == eng.nodes - eng.p.size
+        p = p[dead]
+        c = w[dead] * momentum_weight(p, SPEC) * transmission_amplitude(p, cfg)
+        c = c * np.exp(1j * SPEC.p_max * width)
+        assert np.sum(np.abs(c)) <= 2.0**-64 * np.sum(np.abs(eng._coef[0]))
+        energy = total_energy(p, 1.0)
+        every = SimpleNamespace(
+            _scale=eng._scale,
+            _coef=np.concatenate((eng._coef, [c, c * p / (energy + 1.0)]), axis=1),
+            p=np.concatenate((eng.p, p)),
+            energy=np.concatenate((eng.energy, energy)),
+        )
+        want = long_double_density(every, width, ts)
+        assert np.max(np.abs(eng.density(width, ts) - want)) <= 2e-15 * np.max(want)
+
+    def test_a_rule_of_zero_weight_keeps_every_panel(self):
+        # near the widest width a barrier accepts, every coefficient underflows
+        # to 0: no panel is above 2^-64 of sum |c| = 0, so all are kept
+        cfg = BarrierConfig(v0=1.0, mass=1.0, width=8e307)
+        lo, hi = momentum_window(cfg)
+        eng = PacketIntegrator(PacketSpec.for_barrier(cfg, p0=0.5 * (lo + hi), d=10.0), cfg)
+        assert not np.any(eng._coef)
+        assert eng.p.size == eng.nodes
+        assert np.array_equal(eng.density(cfg.width, [-1.0, 0.0, 1.0]), np.zeros(3))
+
+
 class TestFilteredDistributions:
     def test_component_relation(self):
         cfg = barrier(10.0)
@@ -861,9 +918,9 @@ class TestConvergence:
             converged_integrator(
                 SPEC, barrier(10.0), z=10.0, t=2.0, tol=1e-30, nodes=2048,
             )
-        # only the kept rule (the graded rule of 2048 nodes, 2304 at L = 10,
+        # only the kept rule (the graded rule of 2048 nodes, 2176 at L = 10,
         # split) was built, so no comparison of two rules decided it
-        assert built == [4608]
+        assert built == [4352]
         estimate = excinfo.value.estimate
         assert estimate == pytest.approx(2.29544239794700562e-08, rel=1e-6)
 
@@ -892,9 +949,9 @@ class TestConvergence:
     def test_ceiling_exhausted_raises_with_estimate(self, monkeypatch):
         # a detector 2e4 behind an L = 10 barrier, at the transmitted peak:
         # the phase p z - E t varies by 8e3 rad across the window, more than
-        # the kept rule (the graded rule of 2048 nodes, 2304, split: 4608)
+        # the kept rule (the graded rule of 2048 nodes, 2176, split: 4352)
         # resolves; it and its merged rule differ by 9e-2, and its split
-        # (9216) by 2e-4, so a 16384-node ceiling runs out before two rules
+        # (8704) by 2e-4, so a 16384-node ceiling runs out before two rules
         # agree to 1e-8; the estimate is the largest rule's density
         built = []
         real = wavepacket.PacketIntegrator
@@ -907,10 +964,10 @@ class TestConvergence:
         monkeypatch.setattr(wavepacket, "PacketIntegrator", spy)
         monkeypatch.setattr(wavepacket, "MAX_NODES", 16384)
         message = (
-            "did not stabilize to 1e-08: the largest rule compared has 9216 "
+            "did not stabilize to 1e-08: the largest rule compared has 8704 "
             "nodes, and its split would exceed the ceiling of 16384"
         )
         with pytest.raises(ConvergenceError, match=message) as excinfo:
             converged_integrator(SPEC, barrier(10.0), z=2e4, t=28850.0, tol=1e-8)
-        assert built == [4608, 2304, 9216]
+        assert built == [4352, 2176, 8704]
         assert excinfo.value.estimate == pytest.approx(9.253958966340905e-11, rel=1e-6)
