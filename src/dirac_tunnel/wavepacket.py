@@ -347,43 +347,40 @@ class PacketIntegrator:
 
     # -- core evaluation ---------------------------------------------------
 
-    def _sum_over_nodes(self, rows, freqs, axis, shift):
-        """Every row of ``rows @ exp(i (shift + freqs x axis))``, by a factorized phase block.
+    def _sum_over_nodes(self, freqs, axis, shift):
+        """The scaled amplitudes ``(g, f)``, shape ``(2, K)``, of the integrator's table.
 
-        ``rows`` stacks R coefficient rows (shape ``(R, N)``); the N rates
-        ``freqs`` and the N phases ``shift`` added to every point's argument
-        are read from the rule's origin, ``(-_rate, _wave z)`` on a time axis
-        and ``(_wave, -_rate t)`` on a position axis.  The result has shape
-        ``(R, K)`` for the ``K >= 0`` points of ``axis``.  On an evenly
-        spaced axis ``x_k = x_0 + k h`` the phase splits at the fine block
-        length ``b`` (:func:`_fine_block`): the fine block ``rows * exp(i
-        freqs x jh)`` is built once, and each chunk of ``_TIME_CHUNK // b``
-        coarse columns ``exp(i (shift + freqs x x_{ab}))`` is contracted with
-        it in one matrix product.  Both are phase ladders
-        (:func:`_phase_ladder`), the fine one from exact ones and each coarse
-        one from a unit phase at its chunk's start; the steps of both are
-        built once per axis.  That is the cost per node of the module
-        docstring, and no block larger than ``N x _TIME_CHUNK`` is
-        materialized.  An axis that is not evenly spaced, or has fewer than
-        4 points, gets ``b = 1`` and no fine block: each column is a unit
-        phase (:func:`_unit_phase`) of its own.
+        Each row is ``_scale`` times a coefficient row of ``_coef`` (shape ``(2, N)``)
+        contracted with ``exp(i (shift + freqs x axis))`` at the ``K >= 0`` points of
+        ``axis``.  The N rates ``freqs`` and the N phases ``shift`` added to every point's
+        argument are read from the rule's origin, ``(-_rate, _wave z)`` on a time axis and
+        ``(_wave, -_rate t)`` on a position axis.  On an evenly spaced axis ``x_k = x_0 + k
+        h`` the phase splits at the fine block length ``b`` (:func:`_fine_block`): the fine
+        block ``_coef * exp(i freqs x jh)`` is built once, and each chunk of ``_TIME_CHUNK
+        // b`` coarse columns ``exp(i (shift + freqs x x_{ab}))`` is contracted with it in
+        one matrix product.  Both are phase ladders (:func:`_phase_ladder`), the fine one
+        from exact ones and each coarse one from a unit phase at its chunk's start; the
+        steps of both are built once per axis.  That is the cost per node of the module
+        docstring, and no block larger than ``N x _TIME_CHUNK`` is materialized.  An axis
+        that is not evenly spaced, or has fewer than 4 points, gets ``b = 1`` and no fine
+        block: each column is a unit phase (:func:`_unit_phase`) of its own.
         """
         axis = np.atleast_1d(np.asarray(axis, dtype=float))
         h, b = _fine_block(axis)
         starts = axis[::b]
         width = max(1, min(_TIME_CHUNK // b, starts.size))
-        weighted = rows[:, :, None]
+        weighted = self._coef[:, :, None]
         if b > 1:
             ones = np.ones(np.size(freqs), dtype=complex)
             weighted = weighted * _phase_ladder(ones, _ladder_steps(freqs, h, b), b).T
             steps = _ladder_steps(freqs, b * h, width)
-        out = np.empty((rows.shape[0], starts.size, b), dtype=complex)
+        out = np.empty((2, starts.size, b), dtype=complex)
         for i in range(0, starts.size, width):
             sl = slice(i, i + width)
             first = _unit_phase(freqs, starts[sl] if b == 1 else starts[i], shift)
             coarse = first.T if b == 1 else _phase_ladder(first, steps, starts[sl].size)
             out[:, sl] = coarse @ weighted
-        return out.reshape(rows.shape[0], -1)[:, : axis.size]
+        return self._scale * out.reshape(2, -1)[:, : axis.size]
 
     def amplitudes(self, z: float, ts):
         """Large and small component amplitudes ``(g, f)`` at position z over times ts.
@@ -391,7 +388,7 @@ class PacketIntegrator:
         Summed from the rule's origin, so both lack the phase ``exp(i(p_c z
         - E_c t - p_max L))`` they share, which no density sees.
         """
-        g, f = self._scale * self._sum_over_nodes(self._coef, -self._rate, ts, self._wave * z)
+        g, f = self._sum_over_nodes(-self._rate, ts, self._wave * z)
         return g, f
 
     def density(self, z: float, ts):
@@ -445,41 +442,40 @@ class PacketIntegrator:
     def _refine(self, z: float, ts: np.ndarray, step: float):
         """(times, densities) of the extrema near grid times ``ts``, by Newton on d|psi|^2/dt.
 
-        Each round reads, for the extrema still moving, the Taylor series of
-        their amplitudes about their grid times (:meth:`_taylor`, built together
-        at ``z``, a unit phase per extremum); an iterate more than ``_unit``
-        away re-centres its series on itself.  Iterates are clamped to one
-        ``step`` around their grid times; an extremum stops at its first step
-        no smaller than the one before (or zero), so steps strictly decrease
-        and no tolerance is needed.  A maximum and a minimum are roots alike.
+        Each round opens with the one read of the extrema still moving: their
+        densities and first two time derivatives from the Taylor series of their
+        amplitudes (:meth:`_series_density`), built together about their grid
+        times at ``z`` (:meth:`_taylor`, a unit phase per extremum); an iterate
+        more than ``_unit`` away re-centres its series on itself.  Iterates are
+        clamped to one ``step`` around their grid times; an extremum stops at its
+        first step no smaller than the one before (or zero), keeping the density
+        read at its last iterate, so steps strictly decrease and no tolerance is
+        needed.  A maximum and a minimum are roots alike.
         """
         t = ts.astype(float)
         centre = t.copy()
         series = self._taylor(z, centre)
-        density, first, second = self._series_density(series, t - centre)
-        last = np.full(t.size, np.inf)
+        density, last = np.empty(t.size), np.full(t.size, np.inf)
         moving = np.arange(t.size)
-        while True:
+        while moving.size:
+            density[moving], first, second = self._series_density(
+                series[:, :, moving], t[moving] - centre[moving]
+            )
             newton = np.divide(first, second, out=np.zeros_like(first), where=second != 0.0)
             t_next = np.clip(t[moving] - newton, ts[moving] - step, ts[moving] + step)
             move = np.abs(t_next - t[moving])
             shrinks = (0.0 < move) & (move < last[moving])
             moving = moving[shrinks]
-            if moving.size == 0:
-                return t, density
             t[moving], last[moving] = t_next[shrinks], move[shrinks]
             far = moving[np.abs(t[moving] - centre[moving]) > self._unit]
             if far.size:
                 centre[far] = t[far]
                 series[:, :, far] = self._taylor(z, centre[far])
-            density[moving], first, second = self._series_density(
-                series[:, :, moving], t[moving] - centre[moving]
-            )
+        return t, density
 
     def density_z(self, zs, t: float):
         """|psi|^2 on a position grid at one time."""
-        sums = self._sum_over_nodes(self._coef, self._wave, zs, -self._rate * t)
-        return _modulus2(*self._scale * sums)
+        return _modulus2(*self._sum_over_nodes(self._wave, zs, -self._rate * t))
 
 
 def transmitted_density(

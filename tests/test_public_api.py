@@ -133,6 +133,18 @@ def test_removed_knobs_are_gone():
     assert "terms" not in inspect.signature(PacketIntegrator._taylor).parameters
     # filter_stats builds the factors of its whole rule in one pass
     assert "_uniform" not in inspect.signature(filter_stats).parameters
+    # the packet kernel sums the integrator's own coefficient table
+    assert "rows" not in inspect.signature(PacketIntegrator._sum_over_nodes).parameters
+
+
+def _library_default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+def _cli_default(key, value=None):
+    """The CLI's default of ``numerics.<key>``, or ``value`` for it, after the key's converter."""
+    _, default, convert, *_ = cli._KEYS[("numerics", key)]
+    return convert(default if value is None else value)
 
 
 # Every entry point that builds a rule of its own takes the CLI's default base;
@@ -145,8 +157,33 @@ RULE_BUILDERS = [
 
 @pytest.mark.parametrize("fn", RULE_BUILDERS, ids=lambda fn: fn.__qualname__)
 def test_library_and_cli_share_one_default_rule_size(fn):
-    default = inspect.signature(fn).parameters["nodes"].default
-    assert default == int(cli._KEYS[("numerics", "nodes")][1])
+    assert _library_default(fn, "nodes") == _cli_default("nodes")
+
+
+# (library function, its parameter, the numerics key the CLI passes to it)
+SHARED_DEFAULTS = [
+    (scan_peaks, "step", "t_step"),
+    (numeric_tunneling_time, "step", "t_step"),
+    (transit_measure, "step", "t_step"),
+    (numeric_tunneling_time, "tol", "tolerance"),
+    (transit_measure, "tol", "tolerance"),
+    (scan_peaks, "min_density_ratio", "peak_floor"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, name, key", SHARED_DEFAULTS, ids=[f"{fn.__name__}.{arg}" for fn, arg, _ in SHARED_DEFAULTS]
+)
+def test_library_and_cli_share_numeric_defaults(fn, name, key):
+    assert _library_default(fn, name) == _cli_default(key)
+
+
+def test_library_and_cli_share_default_time_ranges():
+    start, stop = _cli_default("t_start"), _cli_default("t_stop")
+    assert _library_default(numeric_tunneling_time, "t_range") == (start, stop)
+    # fig4_transit stops its scans later, where transit_measure's range ends
+    override = cli._SCENARIOS["fig4_transit"][1][("numerics", "t_stop")]
+    assert _library_default(transit_measure, "t_range") == (start, _cli_default("t_stop", override))
 
 
 def test_the_gate_starts_from_its_own_default():
