@@ -68,21 +68,29 @@ def series_coefficients(cfg: BarrierConfig) -> SeriesCoefficients:
     )
 
 
-def _lower_gamma(k: int, x: float) -> float:
-    """Lower incomplete gamma for integer order k >= 1 by upward recurrence.
+def _lower_gamma(k: int, width: float, mass: float) -> float:
+    """Lower incomplete gamma of integer order k >= 1 at x = mass width, over width^k.
 
-    gamma(1, x) = 1 - exp(-x) and gamma(k+1, x) = k gamma(k, x) - x^k e^-x.
-    Stable on the physical domain x = mass * L of order one and larger; for
-    x << 1 each step cancels a factor ~x/k of precision.  Its one caller,
-    :func:`moment_s`, has validated k and x.
+    From x = 1 up by upward recurrence: gamma(1, x) = 1 - e^-x and gamma(j+1, x) =
+    j gamma(j, x) - x^j e^-x.  Below x = 1, where each step cancels a factor ~x/j of
+    precision and width^k may underflow, as mass^k gamma(k, x) / x^k, the latter by its
+    positive series e^-x sum_i x^i / (k (k+1) ... (k+i)) to i = 18, whose rest is below
+    2^-60 of its first term.  Its one caller, :func:`moment_s`, has validated its arguments.
     """
+    x = mass * width
     decay = math.exp(-x)
+    if x < 1.0:
+        term = total = 1.0 / k
+        for j in range(k + 1, k + 19):
+            term *= x / j
+            total += term
+        return decay * total * mass ** k
     value = 1.0 - decay
     power = 1.0
     for j in range(1, k):
         power *= x
         value = j * value - power * decay
-    return value
+    return value / width ** k
 
 
 def moment_s(n: int, width: float, mass: float = 1.0, mode: str = "exact") -> float:
@@ -102,10 +110,8 @@ def moment_s(n: int, width: float, mass: float = 1.0, mode: str = "exact") -> fl
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     n = int(n)
     if mode == "exact":
-        head = _lower_gamma(n + 1, mass * width)
-    else:
-        head = float(math.factorial(n))
-    return head / width ** (n + 1)
+        return _lower_gamma(n + 1, width, mass)
+    return math.factorial(n) / width ** (n + 1)
 
 
 def opaque_tunneling_time(

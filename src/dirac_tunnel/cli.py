@@ -52,8 +52,8 @@ from .asymptotics import (
 )
 from ._text import _cells, _text_rows
 from .errors import ConfigError, DiracTunnelError
-# momentum_window is not called here, but the benchmark's tracer
-# (perfbench/tracer.py) wraps it under this module's name
+# momentum_window and filtered_distributions are not called here, but the
+# benchmark's tracer (perfbench/tracer.py) wraps them under this module's name
 from .kinematics import BarrierConfig, momentum_window  # noqa: F401
 from .transit import (
     _MAX_POINTS,
@@ -72,7 +72,7 @@ from .wavepacket import (
     _Nodes,
     _PANEL,
     filter_stats,
-    filtered_distributions,
+    filtered_distributions,  # noqa: F401
     momentum_weight,
     transmitted_density,
 )
@@ -194,13 +194,11 @@ def validate_config(
     raw: dict[tuple[str, str], tuple[str, int]],
     scenario: str,
     overrides: dict[tuple[str, str], str] | None = None,
-    out_dir: str | None = None,
 ) -> ScenarioConfig:
     """Apply defaults, types and bounds; reject unknown keys.
 
     ``raw`` comes from :func:`parse_config_text`; ``overrides`` (from
-    ``--set``) win over the file, ``out_dir`` (from ``--out``) wins over
-    both for the output directory.
+    ``--set``, then ``--out`` as ``output.directory``) win over the file.
 
     Each rule is checked once: a key's type and bound by its ``_KEYS`` row, its
     errors prefixed here alone with the key and line; the physics, every width's
@@ -222,8 +220,6 @@ def validate_config(
         if path not in _KEYS:
             raise ConfigError(f"unknown key {path[0]}.{path[1]} in --set")
         merged[path] = (value, None)
-    if out_dir is not None:
-        merged[("output", "directory")] = (out_dir, None)
 
     fields: dict[str, dict] = {}
     for (section, key), (field, _, convert, *rule) in _KEYS.items():
@@ -385,7 +381,7 @@ def _filter(config, emitter, spec, scan):
     curve, stats_rows = _Nodes(spec, _barrier(config, 0.0), p_axis), []
     for width in config.geometry.widths:
         cfg = _barrier(config, width)
-        g_t, f_t = filtered_distributions(p_axis, spec, cfg, _filter=curve)
+        g_t, f_t = curve.filtered(width)
         name = f"filter_L{_width_tag(width)}.csv"
         emitter.table(name, ["p", "weight", "g_t", "f_t"], [shared, g_t, f_t], width)
         s = emitter.item(
@@ -443,14 +439,11 @@ def _transit(config, emitter, spec, scan):
     if not config.geometry.detectors:
         return
     v_closed = opaque_tunneling_velocity(_barrier(config, 0.0))
-    stats_of = {}  # filter statistics per width
 
     def measure(detector, width):
         cfg = _barrier(config, width)
         report = transit_measure(detector, spec, cfg, **scan)
-        if width not in stats_of:
-            stats_of[width] = filter_stats(spec, cfg, nodes=config.numerics.nodes)
-        stats = stats_of[width]
+        stats = filter_stats(spec, cfg, nodes=config.numerics.nodes)
         predicted = transit_time_predicted(detector, width, v_closed, stats.v_out)
         bound = superluminal_detector_bound(v_closed, stats.v_out, width)
         return (
@@ -608,7 +601,9 @@ def main(argv: list[str] | None = None) -> int:
             overrides[("geometry", "L")] = _parse_sweep_range(args.L)
         else:
             scenario = args.scenario
-        config = validate_config(raw, scenario, overrides=overrides, out_dir=args.out)
+        if args.out is not None:
+            overrides[("output", "directory")] = args.out
+        config = validate_config(raw, scenario, overrides=overrides)
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2

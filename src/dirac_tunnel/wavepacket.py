@@ -168,12 +168,12 @@ def _graded_edges(spec: PacketSpec, cfg: BarrierConfig, nodes: int) -> np.ndarra
     if nodes <= 0 or nodes % _PANEL:
         raise ValueError(f"nodes must be a positive multiple of {_PANEL}, got {nodes}")
     edges = np.linspace(spec.p_max - spec.p_min, 0.0, nodes // _PANEL + 1)
-    # the last panel, kept whole at width 0
+    # the last panel, kept whole where c^2 L^2 is 0 (width 0, or underflow): its edge layer is wider
     graded = edges[-1:]
-    if cfg.width > 0.0:
-        c2 = 2.0 * cfg.mass * spec.p_max / (cfg.v0 + cfg.mass)
+    c2l2 = 2.0 * cfg.mass * spec.p_max / (cfg.v0 + cfg.mass) * cfg.width * cfg.width
+    if c2l2 > 0.0:
         # no piece narrower than the spacing of floats at p_max
-        first = max(0.25 / (c2 * cfg.width * cfg.width), np.finfo(float).eps * spec.p_max)
+        first = max(0.25 / c2l2, np.finfo(float).eps * spec.p_max)
         # from p_max: first, 4 first, ..., 4^(pieces-2) first, then the rest of
         # the panel, at least 4^(pieces-1) first wide; one piece keeps it whole
         pieces = max(1, int(math.log(3.0 * edges[-2] / first + 1.0, 4.0)))
@@ -485,17 +485,15 @@ def transmitted_density(
     return PacketIntegrator(spec, cfg, nodes=nodes).density(z, t_axis)
 
 
-def filtered_distributions(p, spec: PacketSpec, cfg: BarrierConfig, *, _filter=None):
+def filtered_distributions(p, spec: PacketSpec, cfg: BarrierConfig):
     """Filtered momentum distributions (g_T, f_T) of the transmitted packet.
 
     ``g_T = g |t|`` weights the large component, ``f_T = g_T p / (E + m)``
     the small one; both use the bare (peak value 1) weight convention.  |t|
     is taken in real arithmetic, so every ``p`` must lie in the window, at
-    width 0 too.  ``_filter``, if given, stands for ``_Nodes(spec, cfg, p)``
-    built at any width of the same v0 and mass: the factors no width
-    changes, hoisted out of a loop over widths.
+    width 0 too.
     """
-    return (_filter or _Nodes(spec, cfg, p)).filtered(cfg.width)
+    return _Nodes(spec, cfg, p).filtered(cfg.width)
 
 
 def filter_stats(spec: PacketSpec, cfg: BarrierConfig, nodes: int = NODES) -> FilterStats:

@@ -153,11 +153,29 @@ class TestValidateConfig:
         config = validate_config(
             raw,
             "custom",
-            overrides={("numerics", "nodes"): "128"},
-            out_dir=str(tmp_path),
+            overrides={("numerics", "nodes"): "128", ("output", "directory"): str(tmp_path)},
         )
         assert config.numerics.nodes == 128
         assert config.output.directory == str(tmp_path)
+
+    def test_out_beats_set_which_beats_the_file(self, tmp_path, monkeypatch):
+        # main passes --out as output.directory after the --set items
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("[output]\ndirectory = from_file\n")
+        small = ["run", "--scenario", "fig1_filter", "--config", "run.cfg",
+                 "--set", "geometry.L=0", "--set", "numerics.curve_samples=8"]
+        runs = [
+            ([], "from_file"),
+            (["--set", "output.directory=from_set"], "from_set"),
+            # wherever --out stands on the command line
+            (["--out", "from_out", "--set", "output.directory=from_set"], "from_out"),
+        ]
+        for extra, directory in runs:
+            assert main([*small, *extra]) == 0
+            manifest = read_manifest(tmp_path / directory)
+            assert manifest["parameters"]["output"]["directory"] == directory
+        assert sorted(path.name for path in tmp_path.iterdir() if path.is_dir()) == [
+            "from_file", "from_out", "from_set"]
 
     def test_unknown_key_reports_line(self):
         raw = parse_config_text("[physics]\nspeed = 3\n")
@@ -688,6 +706,27 @@ class TestSweep:
         assert config.geometry.widths == widths
 
 
+class TestThinBarriers:
+    def test_opaque_time_keeps_its_digits(self, tmp_path):
+        # the closed form on exact rational moments; the upward recurrence of the
+        # incomplete gamma wrote -0.0091451, 2.4451086 and 2.5316690
+        assert main(["sweep", "--L", "0.01:0.05:0.02", "--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "times.csv")[2]
+        closed = (2.5267874821234386, 2.528550577178387, 2.530317658332596)
+        assert [float(row[3]) for row in rows] == pytest.approx(closed, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("scenario, width", [
+        *((s, "1e-200") for s in ("fig1_filter", "fig2_peaks", "fig3_times", "fig4_transit")),
+        ("fig3_times", "1e-60"),
+    ])
+    def test_tiny_widths_run(self, tmp_path, scenario, width):
+        # below L = 1e-162 the graded rule divided by c^2 L^2 = 0, and below 2e-47
+        # fig3_times divided by L^(n + 1) = 0: each exited 1 with a traceback
+        argv = ["run", "--scenario", scenario, "--set", f"geometry.L={width}"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        assert read_manifest(tmp_path)["failures"] == []
+
+
 class TestJsonFormat:
     def test_filter_scenario_as_json(self, tmp_path):
         code = main([
@@ -764,9 +803,8 @@ class TestFilterBytes:
 class TestTableCells:
     @staticmethod
     def emitter(tmp_path, fmt="csv"):
-        overrides = {("output", "format"): fmt}
-        return cli._Emitter(validate_config({}, "custom", overrides=overrides,
-                                            out_dir=str(tmp_path)))
+        overrides = {("output", "format"): fmt, ("output", "directory"): str(tmp_path)}
+        return cli._Emitter(validate_config({}, "custom", overrides=overrides))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_mixed_columns_follow_the_cell_rules(self, tmp_path, fmt):
@@ -1133,8 +1171,8 @@ class TestTransitStats:
         code = main(["run", "--scenario", "custom", "--out", str(tmp_path),
                      "--set", "geometry.L=0, 10", "--set", "geometry.D=40, 60"])
         assert code == 0
-        # once per width in the filter step, once per width for both detectors
-        assert widths == [0.0, 10.0, 0.0, 10.0]
+        # once per width in the filter step, then once per detector and width
+        assert widths == [0.0, 10.0, 0.0, 10.0, 0.0, 10.0]
         _, _, rows = read_csv(tmp_path / "transit_context.csv")
         assert [row[:2] for row in rows] == [["40", "0"], ["40", "10"], ["60", "0"], ["60", "10"]]
 

@@ -30,6 +30,7 @@ from dirac_tunnel import (
     transmitted_density,
 )
 from dirac_tunnel import cli, transit
+from dirac_tunnel.wavepacket import filtered_distributions
 from dirac_tunnel.kinematics import BarrierConfig
 
 # the modules whose __all__ the package re-exports, in the package's order
@@ -135,6 +136,9 @@ def test_removed_knobs_are_gone():
     assert "_uniform" not in inspect.signature(filter_stats).parameters
     # the packet kernel sums the integrator's own coefficient table
     assert "rows" not in inspect.signature(PacketIntegrator._sum_over_nodes).parameters
+    # the CLI sums its hoisted filter table itself, and --out is one more override
+    assert "_filter" not in inspect.signature(filtered_distributions).parameters
+    assert "out_dir" not in inspect.signature(cli.validate_config).parameters
 
 
 def _library_default(fn, name):
@@ -207,7 +211,9 @@ def test_traced_names_resolve_on_cli(name):
 
 # Imports a module does not use: the benchmark's tracer (perfbench/tracer.py)
 # wraps each of these by its name in that module.
-TRACED_IMPORTS = {"cli.momentum_window", "wavepacket.transmission_amplitude"}
+TRACED_IMPORTS = {
+    "cli.momentum_window", "cli.filtered_distributions", "wavepacket.transmission_amplitude",
+}
 
 
 def test_every_top_level_import_is_used_or_exported():

@@ -548,6 +548,18 @@ class TestNodePolicy:
         assert pieces > 1
         assert graded.nodes == 128 + 64 * pieces
 
+    def test_underflowing_edge_layer_keeps_the_last_panel_whole(self):
+        # at L = 1e-200, c^2 L^2 underflows to 0 (it did below L = 1e-162, dividing by
+        # zero): the edge layer is then wider than the panel, so the rule is width 0's
+        tiny, free = barrier(1e-200), barrier(0.0)
+        edges = wavepacket._graded_edges(SPEC, tiny, 512)
+        assert np.array_equal(edges, wavepacket._graded_edges(SPEC, free, 512))
+        assert filter_stats(SPEC, tiny) == filter_stats(SPEC, free)
+        ts = np.linspace(-20.0, 20.0, 401)
+        thin = PacketIntegrator(SPEC, tiny).density(1e-200, ts)
+        bare = PacketIntegrator(SPEC, free).density(0.0, ts)
+        assert np.max(np.abs(thin - bare)) <= 2e-15 * np.max(bare)
+
     @pytest.mark.parametrize("width, nodes", [
         pytest.param(10.0, 2048, id="10.0"),
         pytest.param(100.0, 2048, id="100.0"),
@@ -761,7 +773,7 @@ class TestFilterFactors:
         curve = wavepacket._Nodes(spec, base, p_axis)
         for width in (0.0, 0.5, 37.5, 100.0):
             cfg = BarrierConfig(v0=v0, width=width)
-            hoisted = filtered_distributions(p_axis, spec, cfg, _filter=curve)
+            hoisted = curve.filtered(width)
             fresh = filtered_distributions(p_axis, spec, cfg)
             assert all(np.array_equal(a, b) for a, b in zip(hoisted, fresh))
 
