@@ -97,8 +97,8 @@ def moment_s(n: int, width: float, mass: float = 1.0, mode: str = "exact") -> fl
     """Moment s(n) of the opaque-limit expansion.
 
     ``exact`` evaluates gamma(n + 1, mass * width) / width^(n + 1); the
-    ``asymptotic`` flavor replaces the incomplete gamma by the full
-    n! (its wide-barrier limit), always an upper bound on the exact value.
+    ``asymptotic`` flavor replaces the incomplete gamma by the full n! (its
+    wide-barrier limit): an upper bound on the exact value, inf on overflow.
     """
     if n < 0 or int(n) != n:
         raise ValueError(f"moment order must be a non-negative integer, got {n}")
@@ -111,7 +111,8 @@ def moment_s(n: int, width: float, mass: float = 1.0, mode: str = "exact") -> fl
     n = int(n)
     if mode == "exact":
         return _lower_gamma(n + 1, width, mass)
-    return math.factorial(n) / width ** (n + 1)
+    power = width ** (n + 1)  # 0 where it underflows
+    return math.factorial(n) / power if power else math.inf
 
 
 def opaque_tunneling_time(
@@ -121,20 +122,21 @@ def opaque_tunneling_time(
 ) -> OpaqueSolution:
     """Stationary point of the expanded peak functional.
 
-    In asymptotic mode the moments collapse to factorials and the time
-    reduces to the closed form a1 * width / (9 a2), so the emergence
-    velocity ``width / tau`` is the width-independent constant 9 a2 / a1.
+    In asymptotic mode the moments are n! / width^(n + 1), so tau is width
+    times its value from the unit-width moments n! (no product overflows):
+    a1 * width / (9 a2), and the velocity ``width / tau`` is 9 a2 / a1.
     Exact mode keeps the incomplete-gamma moments (the particle mass is
     recovered from ``a2 = 1 / (2 mass)``), shifting tau by a relative
     O(exp(-mass * width)) amount.  :func:`moment_s` validates ``mode``.
     """
     # P = X^2 + Y^2 with X = s2 - ((a2 t)^2 s6 + a1^2 s4) / 2 + a1 a2 t s5 and
     # Y = a2 t s4 - a1 s3, to second order in a1 and a2 t: c0 + c1 t + c2 t^2
-    s = {n: moment_s(n, width, 1.0 / (2.0 * coeffs.a2), mode) for n in (2, 3, 4, 5, 6)}
+    unit = 1.0 if mode == "asymptotic" else width
+    s = {n: moment_s(n, unit, 1.0 / (2.0 * coeffs.a2), mode) for n in (2, 3, 4, 5, 6)}
     a1, a2 = coeffs.a1, coeffs.a2
     c1 = 2.0 * a1 * a2 * (s[2] * s[5] - s[3] * s[4])
     c2 = a2 * a2 * (s[4] * s[4] - s[2] * s[6])
-    return OpaqueSolution(tau=-c1 / (2.0 * c2), v=9.0 * a2 / a1)
+    return OpaqueSolution(tau=-c1 / (2.0 * c2) * (width / unit), v=9.0 * a2 / a1)
 
 
 def opaque_tunneling_velocity(cfg: BarrierConfig) -> float:

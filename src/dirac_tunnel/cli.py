@@ -296,26 +296,31 @@ class _Emitter:
         return " ".join(parts)
 
     def table(self, name: str, header: list[str], columns, width=None):
-        """Write one table: CSV is the encoded comment line and header, then the
-        bytes of :func:`_text_rows` as they are; JSON ``rows`` are those lines
-        decoded and split at commas (no cell holds one), so both formats hold the
-        same cells.  With no columns (rows transposed from none) only the header is
-        written.  The comment line names ``width`` when the table holds one width."""
+        """Write one table of columns, as :meth:`lines` of their :func:`_text_rows`."""
+        self.lines(name, header, _text_rows(columns), width)
+
+    def lines(self, name: str, header: list[str], cells, width=None):
+        """Write one table from its CSV lines ``cells`` (none: only the header): CSV
+        is the encoded comment line and header, then ``cells`` as they are, unjoined;
+        JSON ``rows`` are those lines decoded and split at commas (no cell holds
+        one).  The comment line names ``width`` when the table holds one width."""
         comment = self._comment(width)
-        cells = _text_rows(columns)
         if self.config.output.format == "json":
             rows = [line.split(",") for line in cells.decode().splitlines()]
             payload = {"comment": comment, "columns": header, "rows": rows}
             body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
             self.write(Path(name).with_suffix(".json").name, body.encode())
             return
-        self.write(name, f"# {comment}\n{','.join(header)}\n".encode() + cells)
+        self.write(name, f"# {comment}\n{','.join(header)}\n".encode(), cells)
 
-    def write(self, name: str, data: bytes):
-        """Write ``data`` to ``name`` as it is and list it with its sha256."""
-        (self.directory / name).write_bytes(data)
-        digest = hashlib.sha256(data).hexdigest()
-        self.outputs.append({"file": name, "sha256": digest, "bytes": len(data)})
+    def write(self, name: str, *parts):
+        """Write ``parts`` to ``name`` one after another and list it with its sha256."""
+        digest = hashlib.sha256()
+        with open(self.directory / name, "wb") as out:
+            for part in parts:
+                out.write(part)
+                digest.update(part)
+            self.outputs.append({"file": name, "sha256": digest.hexdigest(), "bytes": out.tell()})
 
     def item(self, label: str, fn, *args, **kwargs):
         """``fn(*args, **kwargs)`` for one item of a scenario (a width, a detector).
@@ -376,14 +381,17 @@ def _packet(config: ScenarioConfig) -> PacketSpec:
 
 def _filter(config, emitter, spec, scan):
     p_axis = np.linspace(spec.p_min, spec.p_max, config.numerics.curve_samples)
-    # the same in every width's file: their cells built once per run, as one block
-    shared = np.hstack([_cells(p_axis), _cells(momentum_weight(p_axis, spec))])
+    # one row block reused by every width, 7 words a cell: a block per width faults anew
+    rows = np.frombuffer(text := bytearray(4 * 28 * len(p_axis)), np.uint32).reshape(-1, 28)
+    rows[:, :7], rows[:, 7:14] = _cells(p_axis), _cells(momentum_weight(p_axis, spec))
     curve, stats_rows = _Nodes(spec, _barrier(config, 0.0), p_axis), []
     for width in config.geometry.widths:
         cfg = _barrier(config, width)
         g_t, f_t = curve.filtered(width)
+        rows[:, 14:21], rows[:, 21:] = _cells(g_t), _cells(f_t)
+        rows.view(np.uint8)[:, -1] = ord("\n")  # over each row's last comma
         name = f"filter_L{_width_tag(width)}.csv"
-        emitter.table(name, ["p", "weight", "g_t", "f_t"], [shared, g_t, f_t], width)
+        emitter.lines(name, ["p", "weight", "g_t", "f_t"], text.translate(None, b"\0"), width)
         s = emitter.item(
             "filter_stats L=%.17g" % width, filter_stats, spec, cfg, nodes=config.numerics.nodes
         )

@@ -80,6 +80,13 @@ class TestMoments:
                 math.factorial(n) / 12.5 ** (n + 1), rel=1e-15
             )
 
+    def test_asymptotic_overflows_to_inf(self):
+        # width^(n + 1) underflows to 0 at 1e-60 (it raised ZeroDivisionError) and
+        # to a subnormal at 1e-46, where n! over it exceeds the largest double
+        assert moment_s(6, 1e-60, mode="asymptotic") == math.inf
+        assert moment_s(6, 1e-46, mode="asymptotic") == math.inf
+        assert moment_s(2, 1e-60, mode="asymptotic") == pytest.approx(2e180, rel=1e-15)
+
     def test_mass_width_scaling(self):
         # the integral depends on mass and width only through their product,
         # up to the explicit width power
@@ -187,6 +194,23 @@ class TestOpaqueTime:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             opaque_tunneling_time(15.0, CANON, mode="fast")
+
+    @pytest.mark.parametrize("width", [1e-40, 1e-60, 1e-200, 1.0, 50.0])
+    def test_asymptotic_closed_form_at_every_width(self, width):
+        # the moment products overflow at 1e-40 (tau was nan) and width^7
+        # underflows to 0 at 1e-60 (ZeroDivisionError): tau comes from the
+        # unit-width moments n!, scaled by the width
+        sol = opaque_tunneling_time(width, CANON)
+        assert sol.tau == pytest.approx(CANON.a1 * width / (9.0 * CANON.a2), rel=1e-15)
+        assert sol.v == 9.0 * CANON.a2 / CANON.a1
+
+    @pytest.mark.parametrize("width", [1e-40, 1.0, 15.0, 50.0])
+    def test_exact_mode_is_the_stationary_point_of_its_moments(self, width):
+        # bit for bit: exact mode takes the moments at the width itself
+        s = {n: moment_s(n, width, mass=1.0) for n in (2, 3, 4, 5, 6)}
+        c1 = 2.0 * CANON.a1 * CANON.a2 * (s[2] * s[5] - s[3] * s[4])
+        c2 = CANON.a2 * CANON.a2 * (s[4] * s[4] - s[2] * s[6])
+        assert opaque_tunneling_time(width, CANON, mode="exact").tau == -c1 / (2.0 * c2)
 
 
 class TestOpaqueVelocity:

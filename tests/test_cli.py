@@ -800,6 +800,60 @@ class TestFilterBytes:
         assert [row[0] for row in rows] == ["0"]
 
 
+class TestFilterRowBlock:
+    """``_filter`` writes every width's curve through one row block that it
+    reuses: the p and weight cells once, then each width's g_t and f_t."""
+
+    @staticmethod
+    def run(directory, widths, fmt):
+        argv = ["run", "--scenario", "fig1_filter", "--out", str(directory),
+                "--set", "geometry.L=" + ", ".join(map(repr, widths)),
+                "--set", "numerics.curve_samples=64", "--set", f"output.format={fmt}"]
+        assert main(argv) == 0
+        return {path.name: path.read_bytes() for path in directory.glob("filter_L*")}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_reused_block_leaks_no_stale_cells(self, tmp_path, fmt):
+        # widths out of order, width 0 among them: each file as its width alone writes it
+        widths = [37.5, 0.0, 100.0, 0.5]
+        together = self.run(tmp_path / "together", widths, fmt)
+        assert len(together) == len(widths)
+        for width in widths:
+            alone = self.run(tmp_path / f"alone_{width}", [width], fmt)
+            name = f"filter_L{cli._width_tag(width)}.{fmt}"
+            assert alone == {name: together[name]}
+
+    def test_shared_columns_are_converted_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(values):
+            calls.append(len(values))
+            return _text._cells(values)
+
+        monkeypatch.setattr(cli, "_cells", spy)
+        widths = [0.0, 5.0, 20.0]
+        assert len(self.run(tmp_path, widths, "csv")) == len(widths)
+        # p and weight once for the run, then g_t and f_t per width
+        assert calls == [64] * (2 + 2 * len(widths))
+
+
+class TestPowerTable:
+    def test_halves_of_each_power_of_ten(self):
+        # the rows of the table: hi, lo, and hi's two halves by Dekker's splitter
+        hi, lo, high, low = _text._TENS
+        assert len(hi) == 101
+        for s, (h, l, hh, hl) in enumerate(zip(hi.tolist(), lo.tolist(), high.tolist(),
+                                               low.tolist()), start=16):
+            assert abs(Fraction(h) + Fraction(l) - 10**s) <= Fraction(h) * 2.0**-104
+            big = 134217729.0 * h  # the splitter 2**27 + 1
+            assert hh == big - (big - h)
+            assert hh + hl == h and Fraction(hh) + Fraction(hl) == Fraction(h)
+            # each half holds at most 26 significant bits
+            for half in (hh, hl):
+                mantissa, _ = math.frexp(half)
+                assert (mantissa * 2**26).is_integer()
+
+
 class TestTableCells:
     @staticmethod
     def emitter(tmp_path, fmt="csv"):
