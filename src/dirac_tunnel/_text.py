@@ -8,12 +8,10 @@ def _words(texts, size=4) -> np.ndarray:
     return np.array(texts, f"S{size}").view(np.uint32)  # each text's bytes as words
 
 
-# hi + lo, the double-double of 10**s for s = 16 ... 116, and hi's halves; the words
-# "0000" ... "9999", "e-00" ... "e-99" and "\0 sign d ."; the fixed form's first
-# digits "sign 0 . 0...0 d" for 0 to 3 zeros, right-aligned in two words
+# hi + lo, the double-double of 10**s for s = 16 ... 116; the words "0000" ...
+# "9999", "e-00" ... "e-99" and "\0 sign d ."; the fixed form's first digits
+# "sign 0 . 0...0 d" for 0 to 3 zeros, right-aligned in two words
 _TENS = np.array([(float(10**s), float(10**s - int(float(10**s)))) for s in range(16, 117)]).T
-_TENS = np.vstack([_TENS, 134217729.0 * _TENS[0] - (134217729.0 * _TENS[0] - _TENS[0])])
-_TENS = np.vstack([_TENS, _TENS[0] - _TENS[2]])
 _QUADS = (np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")).copy().view(np.uint32)[:, 0]
 _EXPS = _words([b"e-%02d" % i for i in range(100)])
 _HEADS = _words([b"\0%c%d." % (sign, d) for sign in b"\0-" for d in range(10)])
@@ -42,10 +40,11 @@ def _cells(values) -> np.ndarray:
     if not rest.all():  # a column with none leaves numpy's integer kernels untouched
         v[rest] = 0.5  # worked as 0.5, then written by format
         k = np.floor(np.log10(v)).astype(np.int64)
-        hi, lo, hh, hl = _TENS.take(-k, axis=1)  # 10**s for s = 16 - k, from 17 to 116
-        big = 134217729.0 * v  # v and hi in 26-bit halves, by Dekker's splitter 2**27 + 1
-        vh = big - (big - v)
-        vl = v - vh
+        hi, lo = _TENS.take(-k, axis=1)  # 10**s for s = 16 - k, from 17 to 116
+        pair = np.stack([v, hi])  # both in 26-bit halves, by Dekker's splitter 2**27 + 1
+        big = 134217729.0 * pair
+        high = big - (big - pair)
+        (vh, hh), (vl, hl) = high, pair - high
         p = v * hi
         r = ((vh * hh - p) + vh * hl + vl * hh) + vl * hl + v * lo  # p + r = |v| * 10**s
         whole = np.floor(r)
@@ -55,10 +54,9 @@ def _cells(values) -> np.ndarray:
         rest |= (n < 10**16) | (n + up >= 10**17) | (np.abs(half) <= 1e-12)
         n = np.where(rest, 10**16, n + up)
         lead, tops = n // 10**16, n // 10**8  # floor division, as % is slower
-        quads = np.empty((4, len(x)), np.int32)  # the four groups dddd, split in int32
-        quads[1], quads[3] = tops - lead * 10**8, n - tops * 10**8
-        quads[::2] = quads[1::2] // 10**4
-        quads[1::2] -= quads[::2] * 10**4
+        eights = np.stack([tops - lead * 10**8, n - tops * 10**8])
+        fours = eights // 10**4
+        quads = np.stack([fours, eights - fours * 10**4], 1).reshape(4, -1)
         sign = x < 0.0
         block[0] = _HEADS[lead + 10 * sign]
         _QUADS.take(quads, out=block[1:5])
@@ -95,3 +93,17 @@ def _text_rows(columns) -> bytes:
     body = np.concatenate(blocks, axis=1, out=body).view(np.uint8)
     body[:, -1] = ord("\n")
     return body.tobytes().translate(None, b"\0")
+
+
+def _row_texts(shared, tables, count: int):
+    """Yield, as :func:`_text_rows` would, the CSV lines of the columns ``shared`` and each
+    table's ``count`` float columns, from one bytearray of 7-word cells that all tables
+    reuse (its pages fault in once): ``shared`` placed once, a table's columns in turn."""
+    text = bytearray(28 * (len(shared) + count) * len(shared[0]))
+    cells = np.frombuffer(text, np.uint32).reshape(len(shared[0]), -1, 7)
+    cells[:, : len(shared)] = np.stack([_cells(c) for c in shared], 1)
+    for columns in tables:
+        for j, column in enumerate(columns, len(shared)):
+            cells[:, j] = _cells(column)
+        cells.view(np.uint8)[:, -1, -1] = ord("\n")  # over each row's last comma
+        yield text.translate(None, b"\0")

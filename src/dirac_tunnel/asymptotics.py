@@ -111,8 +111,7 @@ def moment_s(n: int, width: float, mass: float = 1.0, mode: str = "exact") -> fl
     n = int(n)
     if mode == "exact":
         return _lower_gamma(n + 1, width, mass)
-    power = width ** (n + 1)  # 0 where it underflows
-    return math.factorial(n) / power if power else math.inf
+    return math.factorial(n) / power if (power := width ** (n + 1)) else math.inf  # 0: underflow
 
 
 def opaque_tunneling_time(
@@ -127,11 +126,11 @@ def opaque_tunneling_time(
     a1 * width / (9 a2), and the velocity ``width / tau`` is 9 a2 / a1.
     Exact mode keeps the incomplete-gamma moments (the particle mass is
     recovered from ``a2 = 1 / (2 mass)``), shifting tau by a relative
-    O(exp(-mass * width)) amount.  :func:`moment_s` validates ``mode``.
+    O(exp(-mass * width)) amount.  :func:`moment_s` validates ``width`` and ``mode``.
     """
     # P = X^2 + Y^2 with X = s2 - ((a2 t)^2 s6 + a1^2 s4) / 2 + a1 a2 t s5 and
     # Y = a2 t s4 - a1 s3, to second order in a1 and a2 t: c0 + c1 t + c2 t^2
-    unit = 1.0 if mode == "asymptotic" else width
+    unit = 1.0 if mode == "asymptotic" and width > 0.0 else width  # moment_s checks width
     s = {n: moment_s(n, unit, 1.0 / (2.0 * coeffs.a2), mode) for n in (2, 3, 4, 5, 6)}
     a1, a2 = coeffs.a1, coeffs.a2
     c1 = 2.0 * a1 * a2 * (s[2] * s[5] - s[3] * s[4])

@@ -50,7 +50,7 @@ from .asymptotics import (
     opaque_tunneling_velocity,
     series_coefficients,
 )
-from ._text import _cells, _text_rows
+from ._text import _row_texts, _text_rows
 from .errors import ConfigError, DiracTunnelError
 # momentum_window and filtered_distributions are not called here, but the
 # benchmark's tracer (perfbench/tracer.py) wraps them under this module's name
@@ -296,31 +296,25 @@ class _Emitter:
         return " ".join(parts)
 
     def table(self, name: str, header: list[str], columns, width=None):
-        """Write one table of columns, as :meth:`lines` of their :func:`_text_rows`."""
         self.lines(name, header, _text_rows(columns), width)
 
     def lines(self, name: str, header: list[str], cells, width=None):
         """Write one table from its CSV lines ``cells`` (none: only the header): CSV
-        is the encoded comment line and header, then ``cells`` as they are, unjoined;
-        JSON ``rows`` are those lines decoded and split at commas (no cell holds
-        one).  The comment line names ``width`` when the table holds one width."""
-        comment = self._comment(width)
+        is the comment line and header, then ``cells``; JSON ``rows`` are those lines
+        split at commas (no cell holds one).  The comment names a table's one width."""
         if self.config.output.format == "json":
             rows = [line.split(",") for line in cells.decode().splitlines()]
-            payload = {"comment": comment, "columns": header, "rows": rows}
+            payload = {"comment": self._comment(width), "columns": header, "rows": rows}
             body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
             self.write(Path(name).with_suffix(".json").name, body.encode())
             return
-        self.write(name, f"# {comment}\n{','.join(header)}\n".encode(), cells)
+        self.write(name, f"# {self._comment(width)}\n{','.join(header)}\n".encode() + cells)
 
-    def write(self, name: str, *parts):
-        """Write ``parts`` to ``name`` one after another and list it with its sha256."""
-        digest = hashlib.sha256()
-        with open(self.directory / name, "wb") as out:
-            for part in parts:
-                out.write(part)
-                digest.update(part)
-            self.outputs.append({"file": name, "sha256": digest.hexdigest(), "bytes": out.tell()})
+    def write(self, name: str, data: bytes):
+        """Write ``data`` to ``name`` as it is and list it with its sha256."""
+        (self.directory / name).write_bytes(data)
+        digest = hashlib.sha256(data).hexdigest()
+        self.outputs.append({"file": name, "sha256": digest, "bytes": len(data)})
 
     def item(self, label: str, fn, *args, **kwargs):
         """``fn(*args, **kwargs)`` for one item of a scenario (a width, a detector).
@@ -381,17 +375,12 @@ def _packet(config: ScenarioConfig) -> PacketSpec:
 
 def _filter(config, emitter, spec, scan):
     p_axis = np.linspace(spec.p_min, spec.p_max, config.numerics.curve_samples)
-    # one row block reused by every width, 7 words a cell: a block per width faults anew
-    rows = np.frombuffer(text := bytearray(4 * 28 * len(p_axis)), np.uint32).reshape(-1, 28)
-    rows[:, :7], rows[:, 7:14] = _cells(p_axis), _cells(momentum_weight(p_axis, spec))
     curve, stats_rows = _Nodes(spec, _barrier(config, 0.0), p_axis), []
-    for width in config.geometry.widths:
+    curves = map(curve.filtered, config.geometry.widths)
+    texts = _row_texts([p_axis, momentum_weight(p_axis, spec)], curves, 2)
+    for width, cells in zip(config.geometry.widths, texts):
         cfg = _barrier(config, width)
-        g_t, f_t = curve.filtered(width)
-        rows[:, 14:21], rows[:, 21:] = _cells(g_t), _cells(f_t)
-        rows.view(np.uint8)[:, -1] = ord("\n")  # over each row's last comma
-        name = f"filter_L{_width_tag(width)}.csv"
-        emitter.lines(name, ["p", "weight", "g_t", "f_t"], text.translate(None, b"\0"), width)
+        emitter.lines(f"filter_L{_width_tag(width)}.csv", ["p", "weight", "g_t", "f_t"], cells, width)
         s = emitter.item(
             "filter_stats L=%.17g" % width, filter_stats, spec, cfg, nodes=config.numerics.nodes
         )

@@ -204,6 +204,13 @@ class TestOpaqueTime:
         assert sol.tau == pytest.approx(CANON.a1 * width / (9.0 * CANON.a2), rel=1e-15)
         assert sol.v == 9.0 * CANON.a2 / CANON.a1
 
+    @pytest.mark.parametrize("mode", ["asymptotic", "exact"])
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan])
+    def test_width_must_be_positive(self, width, mode):
+        # asymptotic mode takes its moments at unit width, but still refuses a bad one
+        with pytest.raises(ValueError, match="width must be positive"):
+            opaque_tunneling_time(width, CANON, mode=mode)
+
     @pytest.mark.parametrize("width", [1e-40, 1.0, 15.0, 50.0])
     def test_exact_mode_is_the_stationary_point_of_its_moments(self, width):
         # bit for bit: exact mode takes the moments at the width itself

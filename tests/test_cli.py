@@ -823,35 +823,27 @@ class TestFilterRowBlock:
             name = f"filter_L{cli._width_tag(width)}.{fmt}"
             assert alone == {name: together[name]}
 
+    def test_each_table_reads_as_its_own_rows(self):
+        # short cells after long ones and back; nan and 1e300 are written by format
+        rng = np.random.default_rng(7)
+        shared = [np.linspace(0.0, 1.0, 5), -rng.random(5)]
+        tables = [rng.random((2, 5)), np.zeros((2, 5)), [np.full(5, 1e300), -rng.random(5)],
+                  [np.full(5, np.nan), rng.random(5) * 1e-200]]
+        texts = list(_text._row_texts(shared, tables, 2))
+        assert [bytes(text) for text in texts] == [cli._text_rows([*shared, *t]) for t in tables]
+
     def test_shared_columns_are_converted_once(self, tmp_path, monkeypatch):
-        calls = []
+        calls, cells = [], _text._cells
 
         def spy(values):
             calls.append(len(values))
-            return _text._cells(values)
+            return cells(values)
 
-        monkeypatch.setattr(cli, "_cells", spy)
+        monkeypatch.setattr(_text, "_cells", spy)
         widths = [0.0, 5.0, 20.0]
         assert len(self.run(tmp_path, widths, "csv")) == len(widths)
-        # p and weight once for the run, then g_t and f_t per width
-        assert calls == [64] * (2 + 2 * len(widths))
-
-
-class TestPowerTable:
-    def test_halves_of_each_power_of_ten(self):
-        # the rows of the table: hi, lo, and hi's two halves by Dekker's splitter
-        hi, lo, high, low = _text._TENS
-        assert len(hi) == 101
-        for s, (h, l, hh, hl) in enumerate(zip(hi.tolist(), lo.tolist(), high.tolist(),
-                                               low.tolist()), start=16):
-            assert abs(Fraction(h) + Fraction(l) - 10**s) <= Fraction(h) * 2.0**-104
-            big = 134217729.0 * h  # the splitter 2**27 + 1
-            assert hh == big - (big - h)
-            assert hh + hl == h and Fraction(hh) + Fraction(hl) == Fraction(h)
-            # each half holds at most 26 significant bits
-            for half in (hh, hl):
-                mantissa, _ = math.frexp(half)
-                assert (mantissa * 2**26).is_integer()
+        # p and weight once for the run, g_t and f_t per width, then filter_stats' six
+        assert calls == [64] * (2 + 2 * len(widths)) + [len(widths)] * 6
 
 
 class TestTableCells:
